@@ -66,8 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         s = superop_from_json(json.load(fh))
-    if not 1 <= args.k < s.n:
-        raise WignerkitError(f"--k {args.k} must satisfy 1 <= k < n={s.n}")
     seed = args.seed if args.seed is not None else default_seed()
     cfg = ClassifyConfig(samples=args.samples, seed=seed)
     if args.tol is not None:

@@ -49,27 +49,29 @@ class MapFamily:
             raise BadParameterError("wigner flag requires all three hypothesis flags")
 
 
+def _transpose_columns(n: int) -> np.ndarray:
+    # a -> a^t sends E_ij to E_ji: superoperator columns i + n j and j + n i swap.
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
+
+
 def transpose_superop(n: int) -> SuperOp:
     """Superoperator of a -> a^t (a 0/1 permutation matrix)."""
-    k = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            k[i + n * j, j + n * i] = 1.0
-    return SuperOp(n, k)
+    return SuperOp(n, np.eye(n * n, dtype=complex)[:, _transpose_columns(n)])
 
 
 def wigner_map(u, variant: str = DIRECT) -> SuperOp:
     """Superoperator of a -> U a U* (direct) or a -> U a^t U* (transpose).
 
     Under column stacking the direct map is conj(U) kron U; the transpose
-    variant composes with the transpose permutation first. A global phase on
-    U cancels, so e^{i alpha} U yields the identical superoperator.
+    variant composes with the transpose first, which permutes its columns.
+    A global phase on U cancels, so e^{i alpha} U yields the identical
+    superoperator.
     """
     u = require_unitary(u)
     n = u.shape[0]
     s = np.kron(u.conj(), u)
     if variant == TRANSPOSE:
-        s = s @ transpose_superop(n).mat
+        s = s[:, _transpose_columns(n)]
     elif variant != DIRECT:
         raise BadParameterError(f"unknown variant {variant!r}")
     return SuperOp(n, s)

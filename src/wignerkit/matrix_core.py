@@ -43,8 +43,8 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def trace(m) -> complex:
@@ -122,34 +122,46 @@ def spectral_decomp(h) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
-    """Certify m as a projection and count its rank.
+# Ranks projection_ranks reports for the matrices it cannot certify.
+NOT_HERMITIAN, NOT_A_PROJECTION = -1, -2
 
-    The rank is the number of eigenvalues within tol of 1; every eigenvalue
-    must lie within tol of {0, 1}.
+
+def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Certify each matrix of a stack as a projection and count its rank.
+
+    A matrix m is certified when ||m - m*||_F <= tol max(1, ||m||_F), every
+    eigenvalue lies within tol of {0, 1}, and the re-check ||m^2 - m||_F,
+    ||m - m*||_F <= 10 tol holds. Returns (ranks, residuals): residuals[t]
+    is ||m_t^2 - m_t||_F, ranks[t] counts the eigenvalues of a certified m_t
+    within tol of 1 and is NOT_HERMITIAN or NOT_A_PROJECTION otherwise.
+    """
+    ms = np.asarray(ms, dtype=complex)
+    if not np.all(np.isfinite(ms)):
+        raise NonFiniteError("matrix contains NaN or infinite entries")
+    skew = np.linalg.norm(ms - dagger(ms), axis=(-2, -1))
+    residuals = np.linalg.norm(ms @ ms - ms, axis=(-2, -1))
+    w = np.linalg.eigvalsh(hermitian_part(ms))
+    near_one = np.abs(w - 1.0) <= tol
+    ranks = near_one.sum(axis=-1)
+    off_spectrum = ~np.all(near_one | (np.abs(w) <= tol), axis=-1)
+    ranks[off_spectrum | (residuals > 10.0 * tol) | (skew > 10.0 * tol)] = NOT_A_PROJECTION
+    ranks[skew > tol * np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))] = NOT_HERMITIAN
+    return ranks, residuals
+
+
+def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
+    """Certify m as a projection and count its rank: projection_ranks for one matrix.
 
     Raises NotHermitianError or NotAProjectionError.
     """
     m = as_matrix(m)
-    scale = max(1.0, frobenius(m))
-    if frobenius(m - dagger(m)) > tol * scale:
+    (rank,), _ = projection_ranks(m[None], tol)
+    if rank == NOT_HERMITIAN:
         raise NotHermitianError("candidate projection is not Hermitian")
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    near_one = np.abs(w - 1.0) <= tol
-    near_zero = np.abs(w) <= tol
-    if not np.all(near_one | near_zero):
-        worst = w[np.argmax(np.minimum(np.abs(w), np.abs(w - 1.0)))]
-        raise NotAProjectionError(f"eigenvalue {worst} is farther than {tol} from {{0, 1}}")
-    proj = Projection(matrix=m, rank=int(near_one.sum()), tol=tol)
-    _certify(proj)
-    return proj
-
-
-def _certify(p: Projection) -> None:
-    """Post-construction sanity: idempotent and Hermitian to 10x tol."""
-    m = p.matrix
-    if frobenius(m @ m - m) > 10.0 * p.tol or frobenius(m - dagger(m)) > 10.0 * p.tol:
-        raise NotAProjectionError("projection certificate failed idempotency re-check")
+    if rank == NOT_A_PROJECTION:
+        raise NotAProjectionError(
+            f"spectrum is farther than {tol} from {{0, 1}} or fails the idempotency re-check")
+    return Projection(matrix=m, rank=int(rank), tol=tol)
 
 
 def haar_unitary(n: int, seed=0) -> np.ndarray:

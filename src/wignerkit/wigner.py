@@ -22,7 +22,6 @@ from .errors import (
     DegenerateImageError,
     DimensionMismatchError,
     NotAProjectionError,
-    NotHermitianError,
     NotWignerLikeError,
     SingularMapError,
 )
@@ -33,7 +32,7 @@ from .matrix_core import (
     derive_seed,
     frobenius,
     hermitian_part,
-    matrix_unit,
+    projection_ranks,
     random_rank_k_projection,
     require_unitary,
     validate_projection,
@@ -46,6 +45,7 @@ from .superop import (
     is_hermiticity_preserving,
     is_unital,
     positivity_certificate,
+    unit_images,
 )
 
 DIRECT = "direct"
@@ -177,54 +177,36 @@ def lemma1_projections(n: int, k: int, basis=None, which: int = 0) -> Lemma1Deco
     return Lemma1Decomposition(p=p, Ps=ps, k=k, residual=float(residual))
 
 
-def _basis_subset_projections(n: int, k: int):
-    for subset in itertools.islice(itertools.combinations(range(n), k), BASIS_SUBSET_CAP):
-        m = np.zeros((n, n), dtype=complex)
-        for i in subset:
-            m[i, i] = 1.0
-        yield m
-
-
-def _audit_pass(s: SuperOp, q: np.ndarray, k: int, tol: float) -> tuple[bool, float]:
-    img = apply(s, q)
-    residual = frobenius(img @ img - img)
-    try:
-        ok = validate_projection(img, tol).rank == k
-    except (NotHermitianError, NotAProjectionError):
-        ok = False
-    return ok, residual
-
-
 def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
                      tol: float = DEFAULT_PROJECTION_TOL, seed=0) -> RankKAudit:
     """Audit that the map sends rank-k projections to rank-k projections.
 
-    Tests `samples` Haar-random rank-k projections plus every rank-k
-    projection built from standard-basis subsets (capped at 100); the basis
-    projections span the input space, so a linear map cannot fail on the set
-    while passing them all. The inverse map, when it exists, is audited the
-    same way (inverse_pass), as the checkable consequence of "onto".
+    Tests `samples` Haar-random rank-k projections plus the rank-k
+    projections built from standard-basis subsets (the first 100 subsets in
+    lexicographic order). The subsets are diagonal and do not span the input
+    space, so a map can pass them all and still fail on a random draw, as
+    a -> diag(a) does. The images are computed and validated as one stack.
+    The inverse map, when it exists, is audited the same way (inverse_pass),
+    as the checkable consequence of "onto".
     """
-    if not 1 <= k < s.n:
-        raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={s.n}")
+    n = s.n
+    if not 1 <= k < n:
+        raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
+    subsets = np.array(list(itertools.islice(
+        itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
+    basis = np.zeros((len(subsets), n, n), dtype=complex)
+    basis[np.arange(len(subsets))[:, None], subsets, subsets] = 1.0
 
     def run(target: SuperOp, stream: int) -> tuple[float, float, int]:
-        tests = list(_basis_subset_projections(s.n, k))
-        tests += [random_rank_k_projection(s.n, k, derive_seed(seed, stream, i)).matrix
-                  for i in range(samples)]
-        passes = 0
-        worst = 0.0
-        for q in tests:
-            ok, residual = _audit_pass(target, q, k, tol)
-            passes += ok
-            worst = max(worst, residual)
-        return passes / len(tests), worst, len(tests)
+        draws = [random_rank_k_projection(n, k, derive_seed(seed, stream, i)).matrix
+                 for i in range(samples)]
+        tests = np.concatenate([basis, np.reshape(draws, (samples, n, n))])
+        ranks, residuals = projection_ranks(np.tensordot(tests, unit_images(target)), tol)
+        return np.count_nonzero(ranks == k) / len(tests), float(residuals.max()), len(tests)
 
     pass_fraction, max_residual, total = run(s, 0)
     try:
-        inv = invert(s)
-        inv_fraction, _, _ = run(inv, 1)
-        inverse_pass = inv_fraction == 1.0
+        inverse_pass = run(invert(s), 1)[0] == 1.0
     except SingularMapError:
         inverse_pass = False
     return RankKAudit(k=k, samples=total, pass_fraction=pass_fraction,
@@ -273,34 +255,32 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
     NotWignerLikeError when both residuals exceed tol.
     """
     n = s.n
-    units = [[apply(s, matrix_unit(n, i, j)) for j in range(n)] for i in range(n)]
+    units = unit_images(s)
 
     # The rank-1 gate tracks a loosened tolerance: a caller accepting
     # deviations up to tol must accept images that are rank 1 up to tol.
     degenerate_tol = max(DEGENERATE_IMAGE_TOL, tol)
-    w, v = np.linalg.eigh(hermitian_part(units[0][0]))
+    w, v = np.linalg.eigh(hermitian_part(units[0, 0]))
     if n >= 2 and abs(w[-2]) > degenerate_tol:
         raise DegenerateImageError(
             f"phi(E_11) has second eigenvalue {w[-2]:.3e}; image is not rank 1")
     u1 = v[:, -1]
 
-    def candidate(column_of):
-        cols = [u1] + [column_of(j) for j in range(1, n)]
-        return _fix_phase(_polar_unitary(np.stack(cols, axis=1)))
+    def candidate(images: np.ndarray) -> np.ndarray:
+        # Column j is images[j] u1 (F_j1 u1 or F_1j u1); column 0 is u1 itself.
+        cols = images @ u1
+        cols[0] = u1
+        return _fix_phase(_polar_unitary(cols.T))
 
-    u_direct = candidate(lambda j: units[j][0] @ u1)
-    u_transp = candidate(lambda j: units[0][j] @ u1)
+    u_direct = candidate(units[:, 0])
+    u_transp = candidate(units[0])
 
     def residual(u: np.ndarray, transpose_variant: bool) -> float:
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                if transpose_variant:
-                    model = np.outer(u[:, j], u[:, i].conj())
-                else:
-                    model = np.outer(u[:, i], u[:, j].conj())
-                worst = max(worst, frobenius(units[i][j] - model))
-        return worst
+        # Model image of E_ij: u_i u_j* (direct) or u_j u_i* (transpose).
+        model = u.T[:, None, :, None] * u.conj().T[None, :, None, :]
+        if transpose_variant:
+            model = model.transpose(1, 0, 2, 3)
+        return float(np.linalg.norm(units - model, axis=(2, 3)).max())
 
     res_d = residual(u_direct, False)
     res_t = residual(u_transp, True)
