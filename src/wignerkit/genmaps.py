@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameterError
+from .errors import BadParameterError, BadRankError
 from .matrix_core import (
     derive_seed,
     frobenius,
@@ -146,6 +146,8 @@ def _require_param(params: dict, key: str) -> float:
 
 def expected_flags(name: str, n: int, params: dict | None, k: int) -> MapFamily:
     """Ground-truth audit outcomes for a family member at audit rank k."""
+    if not 1 <= k < n:
+        raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
     params = dict(params or {})
     if name == "wigner":
         flags = {"unital": True, "positive": True, "rank_k_preserving": True, "wigner": True}

@@ -8,7 +8,9 @@ Report JSON:   {"verdict", "reasons", "variant", "unitary", "residual",
 Generator spec: {"family", "n", "params", "seed"}
 
 Only the column-stacking convention is accepted; a mismatching tag is a
-load error, never silently reinterpreted.
+load error, never silently reinterpreted. JSON true/false load as bool, a
+subclass of int, so numeric fields compare their type exactly and reject
+booleans.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "data" not in obj:
         raise SerializationError("matrix JSON must have keys 'n' and 'data'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SerializationError(f"matrix dimension must be a positive integer, got {n!r}")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != n:
@@ -46,7 +48,7 @@ def matrix_from_json(obj) -> np.ndarray:
             raise SerializationError(f"row {i} must have {n} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(type(x) in (int, float) for x in entry)):
                 raise SerializationError(f"entry ({i}, {j}) must be a [re, im] pair")
             re, im = float(entry[0]), float(entry[1])
             if not (math.isfinite(re) and math.isfinite(im)):
@@ -81,7 +83,7 @@ def superop_from_json(obj) -> SuperOp:
             f"convention mismatch: file says {obj['convention']!r}, "
             f"this toolkit uses {CONVENTION!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SerializationError(f"dimension must be a positive integer, got {n!r}")
     mat = matrix_from_json(obj["data"])
     if mat.shape != (n * n, n * n):
@@ -133,13 +135,13 @@ def family_spec_from_json(obj) -> tuple[str, int, dict, int | None]:
     n = obj["n"]
     if not isinstance(family, str):
         raise SerializationError("family must be a string")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise SerializationError(f"n must be a positive integer, got {n!r}")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise SerializationError("params must be an object")
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise SerializationError("seed must be an integer")
     return family, n, params, seed
 

@@ -12,12 +12,14 @@ Superoperators follow the column-stacking convention (see superop).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadIndexError,
+    BadParameterError,
     BadRankError,
     DegenerateImageError,
     DimensionMismatchError,
@@ -135,6 +137,12 @@ class ClassifyConfig:
     projection_tol: float = DEFAULT_PROJECTION_TOL
     decomposition_tol: float = 1e-6
 
+    def __post_init__(self):
+        for name in ("unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise BadParameterError(f"{name}={value} must be finite and positive")
+
     def with_tolerance(self, tol: float) -> "ClassifyConfig":
         """Rescale the whole ladder to a single caller-chosen tolerance."""
         return ClassifyConfig(samples=self.samples, restarts=self.restarts,
@@ -185,13 +193,14 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     projections built from standard-basis subsets (the first 100 subsets in
     lexicographic order). The subsets are diagonal and do not span the input
     space, so a map can pass them all and still fail on a random draw, as
-    a -> diag(a) does. The images are computed and validated as one stack.
-    The inverse map, when it exists, is audited the same way (inverse_pass),
-    as the checkable consequence of "onto".
+    a -> diag(a) does. The inverse map, when it exists, is audited the same
+    way (inverse_pass), as the checkable consequence of "onto".
     """
     n = s.n
     if not 1 <= k < n:
         raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
+    if samples < 0:
+        raise BadParameterError(f"samples={samples} must be nonnegative")
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
     basis = np.zeros((len(subsets), n, n), dtype=complex)
@@ -201,7 +210,9 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
         draws = [random_rank_k_projection(n, k, derive_seed(seed, stream, i)).matrix
                  for i in range(samples)]
         tests = np.concatenate([basis, np.reshape(draws, (samples, n, n))])
-        ranks, residuals = projection_ranks(np.tensordot(tests, unit_images(target)), tol)
+        # images[t] = sum_ij tests[t, i, j] phi(E_ij), one contraction for the stack.
+        images = np.tensordot(tests, unit_images(target), axes=2)
+        ranks, residuals = projection_ranks(images, tol)
         return np.count_nonzero(ranks == k) / len(tests), float(residuals.max()), len(tests)
 
     pass_fraction, max_residual, total = run(s, 0)

@@ -101,6 +101,25 @@ class TestInputErrors:
         assert run_cli(capsys, "analyze", str(mapfile), "--k", "2")[0] == 2
         assert run_cli(capsys, "analyze", str(mapfile), "--k", "0")[0] == 2
 
+    @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+                                       ("--tol", "0"), ("--samples", "-5")])
+    def test_bad_tol_or_samples_exit_two(self, tmp_path, capsys, flags):
+        # A true Wigner map: a bad value must not turn into a verdict either way.
+        mapfile = tmp_path / "m.json"
+        spec = json.dumps({"family": "wigner", "n": 4, "params": {}, "seed": 1})
+        run_cli(capsys, "generate", "--spec", spec, "--out", str(mapfile))
+        code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "2", *flags)
+        assert code == 2
+        assert stdout == "" and err != ""
+
+    def test_boolean_dimension_exit_two(self, tmp_path, capsys):
+        spec = json.dumps({"family": "wigner", "n": True})
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out.exists()
+
     def test_unknown_family_exit_two(self, tmp_path, capsys):
         spec = json.dumps({"family": "kraus", "n": 2})
         code, _, err = run_cli(capsys, "generate", "--spec", spec,

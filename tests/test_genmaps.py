@@ -8,6 +8,7 @@ from wignerkit import (
     ClassifyConfig,
     MapFamily,
     NotUnitaryError,
+    WignerkitError,
     apply,
     build_map,
     classify,
@@ -158,6 +159,13 @@ class TestFamilyRegistry:
             build_map("kraus", 3, {}, 0)
         with pytest.raises(BadParameterError):
             expected_flags("kraus", 3, {}, 1)
+
+    def test_rank_outside_range(self):
+        # n = 1 admits no audit rank k with 1 <= k < n, for any family.
+        with pytest.raises(WignerkitError):
+            expected_flags("pseudo_depolarizing", 1, {"mu": 0.5}, 1)
+        with pytest.raises(WignerkitError):
+            expected_flags("wigner", 3, {}, 3)
 
     def test_missing_parameter(self):
         with pytest.raises(BadParameterError):

@@ -19,6 +19,7 @@ from wignerkit import (
     transpose,
     validate_projection,
 )
+from wignerkit.matrix_core import NOT_A_PROJECTION, NOT_HERMITIAN, projection_ranks
 
 
 class TestSpectralDecomp:
@@ -90,6 +91,30 @@ class TestValidateProjection:
             k = int(rng.integers(1, n))
             p = random_rank_k_projection(n, k, (11, i, 1))
             assert abs(trace(p.matrix) - p.rank) <= n * p.tol
+
+    def test_idempotency_recheck_outlasts_spectral_test(self):
+        # Every eigenvalue is 1 + 0.99 tol, within tol of 1, but at n = 120
+        # ||m^2 - m||_F is about sqrt(120) 0.99 tol > 10 tol.
+        m = (1.0 + 0.99e-8) * np.eye(120)
+        with pytest.raises(NotAProjectionError):
+            validate_projection(m, tol=1e-8)
+
+    def test_hermiticity_recheck_outlasts_relative_test(self):
+        # ||m - m*||_F = 10.5 tol passes the relative test (tol ||m||_F is
+        # about 10.95 tol at rank 120) and the spectral test, not the 10 tol re-check.
+        m = np.eye(120, dtype=complex)
+        m[0, 1], m[1, 0] = 10.5e-8 / (2 * np.sqrt(2)), -10.5e-8 / (2 * np.sqrt(2))
+        with pytest.raises(NotAProjectionError):
+            validate_projection(m, tol=1e-8)
+
+    def test_stack_matches_one_matrix_calls(self):
+        ms = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([0.95, 0.05, 0.0]),
+                       np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                       random_rank_k_projection(3, 1, 5).matrix])
+        ranks, residuals = projection_ranks(ms, 1e-8)
+        assert list(ranks) == [2, NOT_A_PROJECTION, NOT_HERMITIAN, 1]
+        for m, residual in zip(ms, residuals):
+            assert residual == pytest.approx(np.linalg.norm(m @ m - m), abs=1e-15)
 
     def test_certificate_bounds(self):
         for i in range(50):

@@ -45,6 +45,18 @@ class TestMatrixJson:
             matrix_from_json(bad)
 
 
+    def test_booleans_rejected(self):
+        # JSON true/false are not numbers, although Python counts bool as int.
+        with pytest.raises(SerializationError):
+            matrix_from_json({"n": 1, "data": [[[True, False]]]})
+        with pytest.raises(SerializationError):
+            matrix_from_json({"n": True, "data": [[[1.0, 0.0]]]})
+        obj = superop_to_json(depolarizing(1, 1.0))
+        obj["n"] = True
+        with pytest.raises(SerializationError):
+            superop_from_json(obj)
+
+
 class TestSuperOpJson:
     def test_superop_repr_round_trip(self):
         s = wigner_map(haar_unitary(3, 2), "transpose")
@@ -126,6 +138,8 @@ class TestFamilySpec:
         {"family": "wigner", "n": 3, "params": 5},
         {"family": "wigner", "n": 3, "seed": "x"},
         [],
+        {"family": "wigner", "n": True},
+        {"family": "wigner", "n": 3, "seed": False},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(SerializationError):

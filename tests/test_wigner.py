@@ -5,6 +5,7 @@ from wignerkit import (
     DIRECT,
     TRANSPOSE,
     BadIndexError,
+    BadParameterError,
     BadRankError,
     ClassifyConfig,
     DegenerateImageError,
@@ -14,6 +15,7 @@ from wignerkit import (
     definite_set_check,
     depolarizing,
     extract_unitary,
+    from_action,
     haar_unitary,
     lemma1_projections,
     phase_distance,
@@ -99,6 +101,21 @@ class TestPreservesRankK:
     def test_bad_rank(self):
         with pytest.raises(BadRankError):
             preserves_rank_k(transpose_superop(3), 3)
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(BadParameterError):
+            preserves_rank_k(transpose_superop(3), 1, samples=-5)
+
+    def test_basis_subsets_do_not_span(self):
+        # a -> diag(a) fixes all 6 basis-subset projections at n=4, k=2, but
+        # sends a generic rank-2 projection to a diagonal that is not one.
+        s = from_action(4, lambda a: np.diag(np.diag(a)))
+        subsets_only = preserves_rank_k(s, 2, samples=0, seed=0)
+        assert subsets_only.samples == 6
+        assert subsets_only.pass_fraction == 1.0
+        with_draws = preserves_rank_k(s, 2, samples=5, seed=0)
+        assert with_draws.samples == 11
+        assert with_draws.pass_fraction < 1.0
 
 
 class TestDefiniteSet:
@@ -250,3 +267,10 @@ class TestClassify:
             imgs = [apply(s, q.matrix) for q in dec.Ps]
             combo = (1.0 / k) * sum(imgs[1:]) - ((k - 1.0) / k) * imgs[0]
             assert validate_projection(combo, tol=1e-10).rank == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_config_rejects_bad_tolerance(self, tol):
+        with pytest.raises(BadParameterError):
+            ClassifyConfig(projection_tol=tol)
+        with pytest.raises(BadParameterError):
+            ClassifyConfig().with_tolerance(tol)
