@@ -164,20 +164,28 @@ def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
     return Projection(matrix=m, rank=int(rank), tol=tol)
 
 
+def _haar_unitaries(n: int, seeds) -> np.ndarray:
+    # One Haar unitary per seed, as a stack: each seed fills its own Ginibre
+    # sample from its own stream, then one stacked QR and phase fix serve all.
+    if n < 1:
+        raise BadParameterError("dimension must be >= 1")
+    g = np.empty((len(seeds), 2, n, n))
+    for t, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=g[t])
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(n: int, seed=0) -> np.ndarray:
     """Haar-distributed n-by-n unitary.
 
     Ginibre sample, QR factorization, then rescale Q's columns so R's
-    diagonal is real positive; plain QR without the rescale is not Haar.
+    diagonal is real positive (F. Mezzadri, Notices AMS 54 (2007) 592);
+    plain QR without the rescale is not Haar.
     """
-    if n < 1:
-        raise BadParameterError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    return _haar_unitaries(n, [seed])[0]
 
 
 def require_unitary(u) -> np.ndarray:
@@ -189,14 +197,30 @@ def require_unitary(u) -> np.ndarray:
     return u
 
 
-def random_rank_k_projection(n: int, k: int, seed=0,
-                             tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
-    """Haar-random rank-k projection: U diag(1 x k, 0 x (n-k)) U*."""
+def random_rank_k_projections(n: int, k: int, seeds,
+                              tol: float = DEFAULT_PROJECTION_TOL) -> np.ndarray:
+    """Haar-random rank-k projections U diag(1 x k, 0 x (n-k)) U*, one per seed.
+
+    Returns a len(seeds) x n x n stack; draw t depends on seeds[t] alone, so
+    a stack equals its draws made one seed at a time, bit for bit. One
+    projection_ranks call certifies every draw; NotAProjectionError if any
+    is not a rank-k projection within tol.
+    """
     if not 1 <= k < n:
         raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
-    u = haar_unitary(n, seed)
-    m = u[:, :k] @ dagger(u[:, :k])
-    return validate_projection(m, tol)
+    v = _haar_unitaries(n, seeds)[..., :k]
+    ms = v @ dagger(v)
+    ranks, _ = projection_ranks(ms, tol)
+    if np.any(ranks != k):
+        raise NotAProjectionError(
+            f"a Haar draw is not certified as a rank-{k} projection within {tol}")
+    return ms
+
+
+def random_rank_k_projection(n: int, k: int, seed=0,
+                             tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
+    """Haar-random rank-k projection: random_rank_k_projections for one seed."""
+    return Projection(matrix=random_rank_k_projections(n, k, [seed], tol)[0], rank=k, tol=tol)
 
 
 def random_hermitian(n: int, seed=0) -> np.ndarray:

@@ -35,7 +35,7 @@ from .matrix_core import (
     frobenius,
     hermitian_part,
     projection_ranks,
-    random_rank_k_projection,
+    random_rank_k_projections,
     require_unitary,
     validate_projection,
 )
@@ -138,6 +138,10 @@ class ClassifyConfig:
     decomposition_tol: float = 1e-6
 
     def __post_init__(self):
+        for name, least in (("samples", 0), ("restarts", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise BadParameterError(f"{name}={value!r} must be an integer >= {least}")
         for name in ("unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -207,9 +211,9 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     basis[np.arange(len(subsets))[:, None], subsets, subsets] = 1.0
 
     def run(target: SuperOp, stream: int) -> tuple[float, float, int]:
-        draws = [random_rank_k_projection(n, k, derive_seed(seed, stream, i)).matrix
-                 for i in range(samples)]
-        tests = np.concatenate([basis, np.reshape(draws, (samples, n, n))])
+        draws = random_rank_k_projections(
+            n, k, [derive_seed(seed, stream, i) for i in range(samples)])
+        tests = np.concatenate([basis, draws])
         # images[t] = sum_ij tests[t, i, j] phi(E_ij), one contraction for the stack.
         images = np.tensordot(tests, unit_images(target), axes=2)
         ranks, residuals = projection_ranks(images, tol)
@@ -331,7 +335,8 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     cert = None
     if hp:
         cert = positivity_certificate(s, restarts=cfg.restarts, max_iters=cfg.max_iters,
-                                      tol=cfg.positivity_tol, seed=derive_seed(cfg.seed, 2))
+                                      tol=cfg.positivity_tol, seed=derive_seed(cfg.seed, 2),
+                                      hermiticity_tol=cfg.unital_tol)
     audit = preserves_rank_k(s, k, samples=cfg.samples, tol=cfg.projection_tol,
                              seed=derive_seed(cfg.seed, 3))
 

@@ -112,6 +112,22 @@ class TestInputErrors:
         assert code == 2
         assert stdout == "" and err != ""
 
+    def test_negative_samples_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        import wignerkit.wigner
+
+        def stage(*args, **kwargs):
+            raise AssertionError("a classify stage ran")
+
+        monkeypatch.setattr(wignerkit.wigner, "is_unital", stage)
+        mapfile = tmp_path / "m.json"
+        spec = json.dumps({"family": "pseudo_depolarizing", "n": 4, "params": {"mu": 0.6}})
+        run_cli(capsys, "generate", "--spec", spec, "--out", str(mapfile))
+        code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "2",
+                                    "--samples", "-5", "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "samples" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_boolean_dimension_exit_two(self, tmp_path, capsys):
         spec = json.dumps({"family": "wigner", "n": True})
         out = tmp_path / "x.json"

@@ -13,6 +13,7 @@ from wignerkit import (
     phase_distance,
     random_hermitian,
     random_rank_k_projection,
+    random_rank_k_projections,
     require_unitary,
     spectral_decomp,
     trace,
@@ -169,6 +170,13 @@ class TestRandomProjection:
         a = random_rank_k_projection(4, 2, seed=0).matrix
         b = random_rank_k_projection(4, 2, seed=1).matrix
         assert np.linalg.norm(a - b) > 0.0
+
+    def test_uncertifiable_draw_raises(self):
+        # At tol = 1e-20 float rounding in U U* already fails the certificate.
+        with pytest.raises(NotAProjectionError):
+            random_rank_k_projections(4, 2, [1, 2], tol=1e-20)
+        with pytest.raises(NotAProjectionError):
+            random_rank_k_projection(4, 2, 1, tol=1e-20)
 
 
 class TestElementwiseOps:

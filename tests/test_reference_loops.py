@@ -4,7 +4,9 @@ Each reference is the plain loop over public calls that the stage replaces:
 one `apply` per Hermitian basis element, per matrix unit or per test
 projection, and one `validate_projection` per image. The stages read every
 phi(E_ij) off one view of the superoperator, so these tests pin that view
-and the stacked arithmetic to the loops, map by map.
+and the stacked arithmetic to the loops, map by map. The stacked Haar draws
+and the stacked first step of the positivity restarts change no arithmetic,
+so their references must agree bit for bit.
 """
 
 import itertools
@@ -23,10 +25,14 @@ from wignerkit import (
     extract_unitary,
     from_action,
     from_choi,
+    haar_unitary,
     invert,
     is_hermiticity_preserving,
+    positivity_certificate,
     preserves_rank_k,
     random_rank_k_projection,
+    random_rank_k_projections,
+    random_unit_vector,
     validate_projection,
 )
 from wignerkit.matrix_core import derive_seed
@@ -170,3 +176,103 @@ def test_extraction_residual_matches_per_unit_loop(kind, n):
     s = make_map(kind, n, 7)
     form = extract_unitary(s, tol=100.0)
     assert abs(form.residual - ref_residual(s, form.u, form.variant)) <= 1e-12
+
+
+def ref_haar_unitary(n: int, seed) -> np.ndarray:
+    # One Ginibre sample, its QR, and the R-diagonal phase fix.
+    rng = np.random.default_rng(seed)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 16))
+def test_stacked_draws_match_per_seed_draws(n):
+    seeds = [derive_seed((9, n), 0, i) for i in range(12)]
+    for seed in seeds:
+        assert np.array_equal(haar_unitary(n, seed), ref_haar_unitary(n, seed))
+    for k in sorted({1, n // 2, n - 1}):
+        stack = random_rank_k_projections(n, k, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        for m, seed in zip(stack, seeds):
+            v = ref_haar_unitary(n, seed)[:, :k]
+            assert np.array_equal(m, v @ v.conj().T)
+            assert np.array_equal(m, random_rank_k_projection(n, k, seed).matrix)
+
+
+def ref_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
+    # The search one restart at a time, each first step its own apply and eigh.
+    n = s.n
+    s_adj = SuperOp(n, s.mat.conj().T)
+    gtol = max(1e-12, 1e-2 * tol)
+
+    def least_eig(x):
+        out = apply(s, np.outer(x, x.conj()))
+        w, v = np.linalg.eigh((out + out.conj().T) / 2)
+        return float(w[0]), v[:, 0]
+
+    best_val, best_x, best_converged = np.inf, None, False
+    for r in range(restarts):
+        x = random_unit_vector(n, derive_seed(seed, r))
+        f, v = least_eig(x)
+        step = 1.0
+        converged = False
+        for _ in range(max_iters):
+            g = apply(s_adj, np.outer(v, v.conj()))
+            euc = 2.0 * (((g + g.conj().T) / 2) @ x)
+            rgrad = euc - x * np.real(np.vdot(x, euc))
+            gnorm = float(np.linalg.norm(rgrad))
+            if gnorm <= gtol:
+                converged = True
+                break
+            alpha = step
+            for _ in range(30):
+                xn = x - alpha * rgrad
+                xn = xn / np.linalg.norm(xn)
+                fn, vn = least_eig(xn)
+                if fn <= f - 1e-4 * alpha * gnorm * gnorm:
+                    break
+                alpha *= 0.5
+            else:
+                converged = True
+                break
+            x, f, v = xn, fn, vn
+            step = min(2.0 * alpha, 1.0)
+        if f < best_val:
+            best_val, best_x, best_converged = f, x, converged
+    return least_eig(best_x)[0], best_x, best_converged
+
+
+def choi_map() -> SuperOp:
+    # Choi's positive, non-decomposable map on 3x3 matrices.
+    def action(x):
+        d = np.diag([x[0, 0] + x[2, 2], x[0, 0] + x[1, 1], x[1, 1] + x[2, 2]])
+        return d - (x - np.diag(np.diag(x)))
+    return from_action(3, action)
+
+
+POSITIVITY_MAPS = {
+    "wigner": lambda: build_map("wigner", 4, {"variant": "direct"}, 11),
+    "wigner_transpose": lambda: build_map("wigner", 5, {"variant": "transpose"}, 12),
+    "depolarizing": lambda: build_map("depolarizing", 4, {"lambda": 0.4}),
+    "pseudo_depolarizing_positive": lambda: build_map("pseudo_depolarizing", 4, {"mu": 0.2}),
+    "pseudo_depolarizing_negative": lambda: build_map("pseudo_depolarizing", 4, {"mu": 0.6}),
+    "perturbed": lambda: build_map("perturbed_wigner", 4,
+                                   {"variant": "transpose", "epsilon": 0.1}, 13),
+    "choi": choi_map,
+    "random_hp": lambda: make_map("random_hp", 3, 14),
+}
+
+
+@pytest.mark.parametrize("restarts,max_iters", [(4, 30), (1, 30), (3, 0)])
+@pytest.mark.parametrize("name", sorted(POSITIVITY_MAPS))
+def test_positivity_matches_restart_loop(name, restarts, max_iters):
+    s = POSITIVITY_MAPS[name]()
+    cert = positivity_certificate(s, restarts=restarts, max_iters=max_iters, seed=(6, 2))
+    min_value, witness, converged = ref_positivity(s, restarts, max_iters, 1e-9, (6, 2))
+    assert cert.min_value == min_value
+    assert np.array_equal(cert.witness, witness)
+    assert cert.converged == converged
+    if max_iters == 0:
+        assert not cert.converged

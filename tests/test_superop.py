@@ -4,6 +4,7 @@ import pytest
 from wignerkit import (
     ChoiMatrix,
     DimensionMismatchError,
+    NonFiniteError,
     NotHermiticityPreservingError,
     SingularMapError,
     SuperOp,
@@ -29,6 +30,15 @@ def _unit(n, i, j):
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0
     return e
+
+
+@pytest.mark.parametrize("cls", [SuperOp, ChoiMatrix])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_entries_rejected(cls, bad):
+    mat = np.eye(4, dtype=complex)
+    mat[1, 2] = bad
+    with pytest.raises(NonFiniteError):
+        cls(2, mat)
 
 
 class TestVec:
@@ -189,6 +199,14 @@ class TestPositivity:
         m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NotHermiticityPreservingError):
             positivity_certificate(SuperOp(2, np.kron(np.eye(2), m)))
+
+    def test_hermiticity_tolerance_is_the_callers(self):
+        # phi(E_00) - phi(E_00)* = 2e-9 i E_00: Hermiticity-preserving within
+        # 1e-8, not within the default max(tol, 1e-10) = 1e-9.
+        s = from_action(2, lambda a: a + 1e-9j * a[0, 0] * _unit(2, 0, 0))
+        with pytest.raises(NotHermiticityPreservingError):
+            positivity_certificate(s, restarts=2)
+        assert positivity_certificate(s, restarts=2, hermiticity_tol=1e-8).min_value >= -1e-9
 
     def test_requires_a_restart(self):
         from wignerkit import BadParameterError

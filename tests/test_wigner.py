@@ -268,6 +268,31 @@ class TestClassify:
             combo = (1.0 / k) * sum(imgs[1:]) - ((k - 1.0) / k) * imgs[0]
             assert validate_projection(combo, tol=1e-10).rank == 1
 
+    def test_hermiticity_deviation_between_search_and_classify_tolerances(self):
+        # a -> U a U* + 2e-9 i tr(a) E_00 deviates from Hermiticity by 4e-9,
+        # inside classify's 1e-8 but outside the search's own default 1e-9:
+        # classify must give a verdict, not raise.
+        w = wigner_map(haar_unitary(4, 29))
+        e00 = np.zeros((4, 4), dtype=complex)
+        e00[0, 0] = 1.0
+        s = from_action(4, lambda a: apply(w, a) + 2e-9j * np.trace(a) * e00)
+        rep = classify(s, 2, ClassifyConfig(seed=29, samples=10, restarts=5))
+        assert rep.hermiticity_preserving
+        assert rep.positivity is not None
+        assert rep.verdict == "wigner"
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", -5), ("samples", 2.0), ("samples", True), ("samples", "3"),
+        ("restarts", 0), ("restarts", -1), ("restarts", 1.5), ("restarts", False),
+        ("max_iters", -1), ("max_iters", 10.0), ("max_iters", True)])
+    def test_config_rejects_bad_counts(self, field, value):
+        with pytest.raises(BadParameterError):
+            ClassifyConfig(**{field: value})
+
+    def test_config_accepts_least_counts(self):
+        cfg = ClassifyConfig(samples=0, restarts=1, max_iters=np.int64(0))
+        assert (cfg.samples, cfg.restarts, cfg.max_iters) == (0, 1, 0)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_config_rejects_bad_tolerance(self, tol):
         with pytest.raises(BadParameterError):
