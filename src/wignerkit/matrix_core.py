@@ -7,6 +7,7 @@ through an explicit seed, so all results are reproducible and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,19 @@ HERMITIAN_RTOL = 1e-10
 
 # ||U*U - I||_F <= UNITARY_TOL * n for a certified unitary.
 UNITARY_TOL = 1e-12
+
+
+def require_count(name: str, value, least: int):
+    """Raise BadParameterError unless value is an integer >= least (booleans are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise BadParameterError(f"{name}={value!r} must be an integer >= {least}")
+
+
+def require_tolerance(name: str, value):
+    """Raise BadParameterError unless value is a finite positive number (booleans are not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (math.isfinite(value) and value > 0)):
+        raise BadParameterError(f"{name}={value} must be finite and positive")
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -135,6 +149,7 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
     is ||m_t^2 - m_t||_F, ranks[t] counts the eigenvalues of a certified m_t
     within tol of 1 and is NOT_HERMITIAN or NOT_A_PROJECTION otherwise.
     """
+    require_tolerance("tol", tol)
     ms = np.asarray(ms, dtype=complex)
     if not np.all(np.isfinite(ms)):
         raise NonFiniteError("matrix contains NaN or infinite entries")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadParameterError,
     DimensionMismatchError,
     NonFiniteError,
     NotHermiticityPreservingError,
@@ -29,6 +28,8 @@ from .matrix_core import (
     matrix_unit,
     derive_seed,
     random_unit_vector,
+    require_count,
+    require_tolerance,
 )
 
 CONVENTION = "column-stacking"
@@ -152,6 +153,7 @@ def from_choi(c: ChoiMatrix) -> SuperOp:
 
 def is_unital(s: SuperOp, tol: float = 1e-10) -> bool:
     """Whether the map sends the identity to the identity within tol."""
+    require_tolerance("tol", tol)
     eye = np.eye(s.n, dtype=complex)
     return frobenius(apply(s, eye) - eye) <= tol
 
@@ -165,6 +167,7 @@ def is_hermiticity_preserving(s: SuperOp, tol: float = 1e-10) -> bool:
     d_ij = phi(E_ij) - phi(E_ji)*; then h = E_ij + E_ji gives d_ij - d_ij*
     and h = i(E_ij - E_ji) gives i(d_ij + d_ij*), both within tol * sqrt(2).
     """
+    require_tolerance("tol", tol)
     units = unit_images(s)
     diag = units[range(s.n), range(s.n)]
     i, j = np.triu_indices(s.n, 1)
@@ -191,6 +194,26 @@ def _least_eigs(s: SuperOp, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[:, 0], v[:, :, 0]
 
 
+def _gradients(adj: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # Euclidean gradient of f at every row x of xs, via its minimal
+    # eigenvector v: f = x* G x with G = phi_adj(v v*), so euc = 2 G x.
+    return 2.0 * np.matmul(_rank1_images(adj, vs), xs[:, :, None])[:, :, 0]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.vdot(a[r], b[r]) for every row r: one stacked matmul runs one BLAS
+    # dot per row, so each value equals its vdot bit for bit.
+    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(z[r]) for every row r, summed as norm sums one complex
+    # vector: the strided real parts' dot plus the imaginary parts' dot.
+    re, im = z.real[:, None, :], z.imag[:, None, :]
+    return np.sqrt(np.matmul(re, re.swapaxes(1, 2))[:, 0, 0]
+                   + np.matmul(im, im.swapaxes(1, 2))[:, 0, 0])
+
+
 def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
                            tol: float = 1e-9, seed=0,
                            hermiticity_tol: float | None = None) -> PositivityCertificate:
@@ -205,19 +228,22 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     heuristic evidence of positivity.
 
     Restarts are independent streams derived from (seed, restart index), so
-    the result is deterministic for a fixed (seed, restarts). The first step
-    of all restarts runs as stacked numpy calls (the starts' least eigenpairs
-    by one stacked gemv and eigh, their gradients by one more stacked gemv)
-    that give the same bits as one restart at a time. A restart whose first
-    gradient is already below the stopping threshold ends there, as every
-    restart does on a Wigner map; the others continue one at a time.
+    the result is deterministic for a fixed (seed, restarts). All restarts
+    descend in lockstep: the ones still running are rows of one array, and
+    each iteration takes their eigenpairs, gradients, norms and backtracking
+    trials as stacked numpy calls, each row with its own step size. A row
+    leaves at its gradient stop, after 30 halvings without descent, or at
+    max_iters. Every stacked call runs the same BLAS and LAPACK routine per
+    row as a one-restart-at-a-time loop would, so the result is the same to
+    the bit; the best restart is the first one that reaches the minimum.
 
     The map must preserve Hermiticity within hermiticity_tol (default
     max(tol, 1e-10)); a caller that has already tested it passes the
     tolerance it tested at.
     """
-    if restarts < 1:
-        raise BadParameterError("at least one restart is required")
+    require_count("restarts", restarts, 1)
+    require_count("max_iters", max_iters, 0)
+    require_tolerance("tol", tol)
     if hermiticity_tol is None:
         hermiticity_tol = max(tol, 1e-10)
     if not is_hermiticity_preserving(s, hermiticity_tol):
@@ -227,47 +253,54 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     adj = dagger(s.mat)
     gtol = max(1e-12, 1e-2 * tol)
 
-    starts = np.array([random_unit_vector(n, derive_seed(seed, r)) for r in range(restarts)])
-    fs, vs = _least_eigs(s, starts)
-    # Euclidean gradient of f at x, via the minimal eigenvector v:
-    # f = x* G x with G = phi_adj(v v*), so euc = 2 G x.
-    eucs = 2.0 * np.matmul(_rank1_images(adj, vs), starts[:, :, None])[:, :, 0]
-
-    best_val = np.inf
-    best_x = None
-    best_converged = False
-    for x, f, euc in zip(starts, fs, eucs):
-        step = 1.0
-        converged = False
-        for _ in range(max_iters):
-            # Riemannian gradient: euc projected onto the sphere's tangent space.
-            rgrad = euc - x * np.real(np.vdot(x, euc))
-            gnorm = float(np.linalg.norm(rgrad))
-            if gnorm <= gtol:
-                converged = True
+    x = np.array([random_unit_vector(n, derive_seed(seed, r)) for r in range(restarts)])
+    f, v = _least_eigs(s, x)
+    euc = _gradients(adj, v, x)
+    step = np.ones(restarts)
+    # Rows of x, f, euc and step are the restarts still descending, which
+    # live lists in restart order; a restart that stops leaves its point and
+    # value in final_x and final_f.
+    live = np.arange(restarts)
+    final_x, final_f = x.copy(), f.copy()
+    converged = np.zeros(restarts, dtype=bool)
+    for _ in range(max_iters):
+        # Riemannian gradient: euc projected onto the sphere's tangent space.
+        rgrad = euc - x * _row_dots(x, euc).real[:, None]
+        gnorm = _row_norms(rgrad)
+        alpha = step.copy()
+        moved = np.zeros(live.size, dtype=bool)
+        xn, fn, vn = np.empty_like(x), np.empty_like(f), np.empty_like(x)
+        searching = np.flatnonzero(gnorm > gtol)
+        for _ in range(30):
+            if not searching.size:
                 break
-            alpha = step
-            for _ in range(30):
-                xn = x - alpha * rgrad
-                xn = xn / np.linalg.norm(xn)
-                (fn,), (vn,) = _least_eigs(s, xn[None])
-                if fn <= f - 1e-4 * alpha * gnorm * gnorm:
-                    break
-                alpha *= 0.5
-            else:
-                # No descent step exists at this scale: stationary enough.
-                converged = True
-                break
-            x, f = xn, fn
-            step = min(2.0 * alpha, 1.0)
-            euc = 2.0 * (_rank1_images(adj, vn[None])[0] @ x)
-        if f < best_val:
-            best_val, best_x, best_converged = f, x, converged
+            a, g = alpha[searching], gnorm[searching]
+            cand = x[searching] - a[:, None] * rgrad[searching]
+            cand = cand / _row_norms(cand)[:, None]
+            fc, vc = _least_eigs(s, cand)
+            ok = fc <= f[searching] - 1e-4 * a * g * g
+            rows = searching[ok]
+            xn[rows], fn[rows], vn[rows], moved[rows] = cand[ok], fc[ok], vc[ok], True
+            searching = searching[~ok]
+            alpha[searching] *= 0.5
+        # A row that did not move is at its gradient stop or has no descent
+        # step at this scale: stationary enough.
+        stopped = live[~moved]
+        converged[stopped] = True
+        final_x[stopped], final_f[stopped] = x[~moved], f[~moved]
+        live, x, f = live[moved], xn[moved], fn[moved]
+        if not live.size:
+            break
+        step = np.minimum(2.0 * alpha[moved], 1.0)
+        euc = _gradients(adj, vn[moved], x)
+    final_x[live], final_f[live] = x, f
 
+    # np.argmin picks the first restart that reaches the minimum.
+    best = np.argmin(final_f)
     # Re-derive the certified value directly from the witness.
-    (final_val,), _ = _least_eigs(s, best_x[None])
-    return PositivityCertificate(min_value=float(final_val), witness=best_x.copy(),
-                                 restarts=restarts, converged=best_converged)
+    (final_val,), _ = _least_eigs(s, final_x[best][None])
+    return PositivityCertificate(min_value=float(final_val), witness=final_x[best].copy(),
+                                 restarts=restarts, converged=bool(converged[best]))
 
 
 def invert(s: SuperOp) -> SuperOp:

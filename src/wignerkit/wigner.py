@@ -12,14 +12,12 @@ Superoperators follow the column-stacking convention (see superop).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadIndexError,
-    BadParameterError,
     BadRankError,
     DegenerateImageError,
     DimensionMismatchError,
@@ -36,6 +34,8 @@ from .matrix_core import (
     hermitian_part,
     projection_ranks,
     random_rank_k_projections,
+    require_count,
+    require_tolerance,
     require_unitary,
     validate_projection,
 )
@@ -139,13 +139,9 @@ class ClassifyConfig:
 
     def __post_init__(self):
         for name, least in (("samples", 0), ("restarts", 1), ("max_iters", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise BadParameterError(f"{name}={value!r} must be an integer >= {least}")
+            require_count(name, getattr(self, name), least)
         for name in ("unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise BadParameterError(f"{name}={value} must be finite and positive")
+            require_tolerance(name, getattr(self, name))
 
     def with_tolerance(self, tol: float) -> "ClassifyConfig":
         """Rescale the whole ladder to a single caller-chosen tolerance."""
@@ -203,8 +199,8 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     n = s.n
     if not 1 <= k < n:
         raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
-    if samples < 0:
-        raise BadParameterError(f"samples={samples} must be nonnegative")
+    require_count("samples", samples, 0)
+    require_tolerance("tol", tol)
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
     basis = np.zeros((len(subsets), n, n), dtype=complex)
@@ -269,6 +265,7 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
     Raises DegenerateImageError when phi(E_11) is not numerically rank 1,
     NotWignerLikeError when both residuals exceed tol.
     """
+    require_tolerance("tol", tol)
     n = s.n
     units = unit_images(s)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerkit import (
+    BadParameterError,
     BadRankError,
     DimensionMismatchError,
     NonFiniteError,
@@ -107,6 +108,14 @@ class TestValidateProjection:
         m[0, 1], m[1, 0] = 10.5e-8 / (2 * np.sqrt(2)), -10.5e-8 / (2 * np.sqrt(2))
         with pytest.raises(NotAProjectionError):
             validate_projection(m, tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8])
+    def test_bad_tolerance_rejected(self, tol):
+        # Unchecked, a NaN tolerance calls the identity "not a projection".
+        with pytest.raises(BadParameterError):
+            validate_projection(np.eye(2), tol)
+        with pytest.raises(BadParameterError):
+            random_rank_k_projections(3, 1, [0, 1], tol)
 
     def test_stack_matches_one_matrix_calls(self):
         ms = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([0.95, 0.05, 0.0]),

@@ -5,8 +5,8 @@ one `apply` per Hermitian basis element, per matrix unit or per test
 projection, and one `validate_projection` per image. The stages read every
 phi(E_ij) off one view of the superoperator, so these tests pin that view
 and the stacked arithmetic to the loops, map by map. The stacked Haar draws
-and the stacked first step of the positivity restarts change no arithmetic,
-so their references must agree bit for bit.
+and the positivity search, whose restarts descend in lockstep, change no
+arithmetic, so their references must agree bit for bit.
 """
 
 import itertools
@@ -35,6 +35,7 @@ from wignerkit import (
     random_unit_vector,
     validate_projection,
 )
+from wignerkit import superop
 from wignerkit.matrix_core import derive_seed
 from wignerkit.wigner import BASIS_SUBSET_CAP, TRANSPOSE
 
@@ -265,7 +266,7 @@ POSITIVITY_MAPS = {
 }
 
 
-@pytest.mark.parametrize("restarts,max_iters", [(4, 30), (1, 30), (3, 0)])
+@pytest.mark.parametrize("restarts,max_iters", [(4, 30), (1, 30), (3, 0), (20, 150)])
 @pytest.mark.parametrize("name", sorted(POSITIVITY_MAPS))
 def test_positivity_matches_restart_loop(name, restarts, max_iters):
     s = POSITIVITY_MAPS[name]()
@@ -276,3 +277,72 @@ def test_positivity_matches_restart_loop(name, restarts, max_iters):
     assert cert.converged == converged
     if max_iters == 0:
         assert not cert.converged
+
+
+def ref_positivity_exits(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
+    # ref_positivity, counting how each restart ends instead of returning the best.
+    n = s.n
+    s_adj = SuperOp(n, s.mat.conj().T)
+    gtol = max(1e-12, 1e-2 * tol)
+
+    def least_eig(x):
+        out = apply(s, np.outer(x, x.conj()))
+        w, v = np.linalg.eigh((out + out.conj().T) / 2)
+        return float(w[0]), v[:, 0]
+
+    exits = {"gradient": 0, "backtracking": 0, "max_iters": 0}
+    for r in range(restarts):
+        x = random_unit_vector(n, derive_seed(seed, r))
+        f, v = least_eig(x)
+        step = 1.0
+        how = "max_iters"
+        for _ in range(max_iters):
+            g = apply(s_adj, np.outer(v, v.conj()))
+            euc = 2.0 * (((g + g.conj().T) / 2) @ x)
+            rgrad = euc - x * np.real(np.vdot(x, euc))
+            gnorm = float(np.linalg.norm(rgrad))
+            if gnorm <= gtol:
+                how = "gradient"
+                break
+            alpha = step
+            for _ in range(30):
+                xn = x - alpha * rgrad
+                xn = xn / np.linalg.norm(xn)
+                fn, vn = least_eig(xn)
+                if fn <= f - 1e-4 * alpha * gnorm * gnorm:
+                    break
+                alpha *= 0.5
+            else:
+                how = "backtracking"
+                break
+            x, f, v = xn, fn, vn
+            step = min(2.0 * alpha, 1.0)
+        exits[how] += 1
+    return exits
+
+
+@pytest.mark.parametrize("name", ["choi", "random_hp"])
+def test_positivity_pins_mixed_exits(name):
+    # At (20, 150) some restarts of one call run out of descent steps while
+    # others run to max_iters, so the (20, 150) case of
+    # test_positivity_matches_restart_loop pins the lockstep search as it
+    # drops rows at different iterations.
+    exits = ref_positivity_exits(POSITIVITY_MAPS[name](), 20, 150, 1e-9, (6, 2))
+    assert exits["backtracking"] > 0 and exits["max_iters"] > 0
+
+
+def test_positivity_eigensolves_are_stacked(monkeypatch):
+    # Restart at a time, Choi's map at the default 50 restarts and 500
+    # iterations makes 30,965 _least_eigs calls, nearly all on one row; in
+    # lockstep each trial step of all searching restarts is one call, 1,155
+    # in all. A count does not depend on the machine's speed.
+    calls = []
+    least_eigs = superop._least_eigs
+
+    def counting(s, xs):
+        calls.append(len(xs))
+        return least_eigs(s, xs)
+
+    monkeypatch.setattr(superop, "_least_eigs", counting)
+    positivity_certificate(choi_map())
+    assert len(calls) < 3000

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wignerkit import (
+    BadParameterError,
     ChoiMatrix,
     DimensionMismatchError,
     NonFiniteError,
@@ -170,6 +171,16 @@ class TestHypothesisChecks:
         s = SuperOp(2, np.kron(np.eye(2), m))  # a -> M a
         assert not is_hermiticity_preserving(s, 1e-10)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, True])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN fails every comparison, so unchecked it would call a -> M a
+        # Hermiticity-preserving.
+        s = SuperOp(2, np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])))
+        with pytest.raises(BadParameterError):
+            is_hermiticity_preserving(s, tol)
+        with pytest.raises(BadParameterError):
+            is_unital(s, tol)
+
 
 class TestPositivity:
     def test_conjugation_positive(self):
@@ -209,9 +220,19 @@ class TestPositivity:
         assert positivity_certificate(s, restarts=2, hermiticity_tol=1e-8).min_value >= -1e-9
 
     def test_requires_a_restart(self):
-        from wignerkit import BadParameterError
         with pytest.raises(BadParameterError):
             positivity_certificate(depolarizing(2, 0.5), restarts=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": -1e-9}, {"hermiticity_tol": float("nan")},
+        {"hermiticity_tol": 0.0}, {"restarts": 2.5}, {"restarts": True},
+        {"max_iters": 2.5}, {"max_iters": -1}])
+    def test_bad_parameters_rejected(self, kwargs):
+        # A map that is not Hermiticity-preserving: an unchecked NaN
+        # tolerance would let the search run on it.
+        s = from_choi(ChoiMatrix(2, np.random.default_rng(3).standard_normal((4, 4))))
+        with pytest.raises(BadParameterError):
+            positivity_certificate(s, **kwargs)
 
 
 class TestInvert:

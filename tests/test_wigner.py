@@ -106,6 +106,12 @@ class TestPreservesRankK:
         with pytest.raises(BadParameterError):
             preserves_rank_k(transpose_superop(3), 1, samples=-5)
 
+    @pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": 0.0}, {"samples": 2.5}])
+    def test_bad_parameters_rejected(self, kwargs):
+        # Unchecked, tol=nan makes a Wigner map fail every projection without an error.
+        with pytest.raises(BadParameterError):
+            preserves_rank_k(wigner_map(haar_unitary(4, 2)), 2, **kwargs)
+
     def test_basis_subsets_do_not_span(self):
         # a -> diag(a) fixes all 6 basis-subset projections at n=4, k=2, but
         # sends a generic rank-2 projection to a diagonal that is not one.
@@ -186,6 +192,13 @@ class TestExtractUnitary:
         s.mat[:, 3] = 0.0  # column of vec index (i=0, j=1)
         with pytest.raises(NotWignerLikeError):
             extract_unitary(s, tol=1e-6)
+
+    def test_nan_tolerance_rejected(self):
+        # Unchecked, no residual exceeds nan, so this map would come back as a form.
+        s = wigner_map(haar_unitary(3, 99))
+        s.mat[:, 3] = 0.0
+        with pytest.raises(BadParameterError):
+            extract_unitary(s, tol=float("nan"))
 
     def test_degenerate_image(self):
         # fully depolarizing map sends E_11 to I/n: top eigenvalue doubled
