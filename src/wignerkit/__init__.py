@@ -57,6 +57,7 @@ from .superop import (
     from_choi,
     invert,
     is_hermiticity_preserving,
+    is_invertible,
     is_unital,
     positivity_certificate,
     to_choi,

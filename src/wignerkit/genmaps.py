@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameterError, BadRankError
+from .errors import BadParameterError
 from .matrix_core import (
     derive_seed,
     frobenius,
     haar_unitary,
     random_hermitian,
+    require_count,
+    require_rank,
     require_unitary,
 )
 from .superop import SuperOp, vec
@@ -146,8 +148,8 @@ def _require_param(params: dict, key: str) -> float:
 
 def expected_flags(name: str, n: int, params: dict | None, k: int) -> MapFamily:
     """Ground-truth audit outcomes for a family member at audit rank k."""
-    if not 1 <= k < n:
-        raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
+    require_count("n", n)
+    require_rank(k, n)
     params = dict(params or {})
     if name == "wigner":
         flags = {"unital": True, "positive": True, "rank_k_preserving": True, "wigner": True}

@@ -33,10 +33,20 @@ HERMITIAN_RTOL = 1e-10
 UNITARY_TOL = 1e-12
 
 
-def require_count(name: str, value, least: int):
-    """Raise BadParameterError unless value is an integer >= least (booleans are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise BadParameterError(f"{name}={value!r} must be an integer >= {least}")
+def require_count(name: str, value, least: int | None = None):
+    """Raise BadParameterError unless value is an integer (booleans are not),
+    and >= least when least is given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise BadParameterError(f"{name}={value!r} must be an integer{bound}")
+
+
+def require_rank(k, n: int):
+    """Raise BadParameterError unless k is an integer, BadRankError unless 1 <= k < n."""
+    require_count("k", k)
+    if not 1 <= k < n:
+        raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
 
 
 def require_tolerance(name: str, value):
@@ -182,8 +192,7 @@ def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
 def _haar_unitaries(n: int, seeds) -> np.ndarray:
     # One Haar unitary per seed, as a stack: each seed fills its own Ginibre
     # sample from its own stream, then one stacked QR and phase fix serve all.
-    if n < 1:
-        raise BadParameterError("dimension must be >= 1")
+    require_count("n", n, 1)
     g = np.empty((len(seeds), 2, n, n))
     for t, seed in enumerate(seeds):
         np.random.default_rng(seed).standard_normal(out=g[t])
@@ -221,8 +230,7 @@ def random_rank_k_projections(n: int, k: int, seeds,
     projection_ranks call certifies every draw; NotAProjectionError if any
     is not a rank-k projection within tol.
     """
-    if not 1 <= k < n:
-        raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
+    require_rank(k, n)
     v = _haar_unitaries(n, seeds)[..., :k]
     ms = v @ dagger(v)
     ranks, _ = projection_ranks(ms, tol)
@@ -240,6 +248,7 @@ def random_rank_k_projection(n: int, k: int, seed=0,
 
 def random_hermitian(n: int, seed=0) -> np.ndarray:
     """GUE-style random Hermitian matrix with O(1) entries."""
+    require_count("n", n, 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(z / np.sqrt(2.0))
@@ -247,6 +256,7 @@ def random_hermitian(n: int, seed=0) -> np.ndarray:
 
 def random_unit_vector(n: int, seed=0) -> np.ndarray:
     """Uniform random unit vector in C^n."""
+    require_count("n", n, 1)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return x / np.linalg.norm(x)

@@ -34,7 +34,7 @@ from .matrix_core import (
 
 CONVENTION = "column-stacking"
 
-# invert() refuses superoperators beyond this condition number.
+# is_invertible() and invert() refuse superoperators beyond this condition number.
 COND_LIMIT = 1e12
 
 
@@ -303,13 +303,16 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
                                  restarts=restarts, converged=bool(converged[best]))
 
 
-def invert(s: SuperOp) -> SuperOp:
-    """Inverse map as a superoperator.
+def is_invertible(s: SuperOp) -> bool:
+    """Whether cond(S) is at most 1e12 (False when it is infinite or NaN)."""
+    return bool(np.linalg.cond(s.mat) <= COND_LIMIT)
 
-    Raises SingularMapError when the condition number exceeds 1e12, which
-    rules out surjectivity of the map on any spanning set.
+
+def invert(s: SuperOp) -> SuperOp:
+    """Inverse map as a superoperator; SingularMapError unless is_invertible(s).
+
+    The rank-k audit needs only is_invertible (see wigner.preserves_rank_k).
     """
-    cond = np.linalg.cond(s.mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMapError(f"superoperator condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    if not is_invertible(s):
+        raise SingularMapError(f"superoperator condition number exceeds {COND_LIMIT:.0e}")
     return SuperOp(s.n, np.linalg.inv(s.mat))

@@ -167,6 +167,11 @@ class TestFamilyRegistry:
         with pytest.raises(WignerkitError):
             expected_flags("wigner", 3, {}, 3)
 
+    @pytest.mark.parametrize("k", [1.5, True, "2"])
+    def test_non_integer_rank_rejected(self, k):
+        with pytest.raises(BadParameterError):
+            expected_flags("wigner", 3, {}, k)
+
     def test_missing_parameter(self):
         with pytest.raises(BadParameterError):
             build_map("depolarizing", 3, {}, 0)

@@ -15,6 +15,7 @@ from wignerkit import (
     random_hermitian,
     random_rank_k_projection,
     random_rank_k_projections,
+    random_unit_vector,
     require_unitary,
     spectral_decomp,
     trace,
@@ -220,3 +221,17 @@ class TestPhaseDistance:
         u = haar_unitary(4, 9)
         v = haar_unitary(4, 10)
         assert phase_distance(u, v) > 0.1
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+@pytest.mark.parametrize("call", [
+    lambda v: random_rank_k_projections(3, v, [0]),
+    lambda v: haar_unitary(v),
+    lambda v: random_unit_vector(v),
+    lambda v: random_hermitian(v),
+], ids=["random_rank_k_projections-k", "haar_unitary-n", "random_unit_vector-n",
+        "random_hermitian-n"])
+def test_non_integer_rank_or_dimension_rejected(call, value):
+    # Unchecked, 1.5 and "2" end in a bare TypeError and True runs as 1.
+    with pytest.raises(BadParameterError):
+        call(value)

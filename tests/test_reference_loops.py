@@ -7,6 +7,11 @@ phi(E_ij) off one view of the superoperator, so these tests pin that view
 and the stacked arithmetic to the loops, map by map. The stacked Haar draws
 and the positivity search, whose restarts descend in lockstep, change no
 arithmetic, so their references must agree bit for bit.
+
+`ref_rank_k` keeps the inverse audit the stage no longer runs: it inverts
+the map and audits the inverse on a second seed stream. The stage derives
+inverse_pass from its forward pass and cond(S) alone, so the old loop is the
+cross-check that the derived predicate agrees with it, map by map.
 """
 
 import itertools
@@ -16,12 +21,14 @@ import pytest
 
 from wignerkit import (
     ChoiMatrix,
+    ClassifyConfig,
     NotAProjectionError,
     NotHermitianError,
     SingularMapError,
     SuperOp,
     apply,
     build_map,
+    classify,
     extract_unitary,
     from_action,
     from_choi,
@@ -41,7 +48,7 @@ from wignerkit.wigner import BASIS_SUBSET_CAP, TRANSPOSE
 
 DIMS = (2, 3, 5, 8)
 KINDS = ("wigner", "wigner_transpose", "depolarizing", "pseudo_depolarizing",
-         "perturbed", "random_hp", "random")
+         "perturbed", "random_hp", "random", "constant_projection")
 
 
 def _unit(n, i, j):
@@ -50,7 +57,16 @@ def _unit(n, i, j):
     return e
 
 
+def constant_projection_map(n: int, k: int, seed) -> SuperOp:
+    # a -> tr(a) P / k sends every rank-k projection to the one rank-k
+    # projection P: "into" holds, but S has rank 1, so "onto" fails.
+    p = random_rank_k_projection(n, k, seed).matrix
+    return from_action(n, lambda a: np.trace(a) * p / k)
+
+
 def make_map(kind: str, n: int, seed: int) -> SuperOp:
+    if kind == "constant_projection":
+        return constant_projection_map(n, n // 2, seed)
     rng = np.random.default_rng([seed, n])
     if kind == "wigner":
         return build_map("wigner", n, {"variant": "direct"}, seed)
@@ -168,6 +184,19 @@ def test_rank_k_audit_matches_per_image_loop(kind, n):
             assert audit.pass_fraction == fraction
             assert audit.inverse_pass == inverse_pass
             assert abs(audit.max_residual - worst) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 5) for k in range(1, n)])
+def test_constant_projection_fails_only_onto(n, k):
+    # Every sample passes and only "onto" rejects: the old loop reaches
+    # False through SingularMapError, the stage through cond(S).
+    s = constant_projection_map(n, k, (8, n, k))
+    audit = preserves_rank_k(s, k, samples=12, seed=(8, n, k))
+    assert audit.pass_fraction == 1.0
+    assert audit.inverse_pass is False
+    assert ref_rank_k(s, k, 12, 1e-8, (8, n, k))[3] is False
+    report = classify(s, k, ClassifyConfig(samples=12, restarts=2, max_iters=20))
+    assert "rank_k_violation" in report.reasons
 
 
 @pytest.mark.parametrize("n", DIMS)

@@ -112,6 +112,26 @@ class TestPreservesRankK:
         with pytest.raises(BadParameterError):
             preserves_rank_k(wigner_map(haar_unitary(4, 2)), 2, **kwargs)
 
+    def test_audit_forms_no_inverse(self, monkeypatch):
+        # "Onto" follows from "into" and cond(S); no inverse map is built or audited.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank-k audit inverted the map")
+
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        audit = preserves_rank_k(wigner_map(haar_unitary(4, 2)), 2, samples=20, seed=0)
+        assert audit.pass_fraction == 1.0
+        assert audit.inverse_pass
+
+    def test_failed_audit_makes_no_cond_call(self, monkeypatch):
+        # cond(S), a full SVD, is computed only once every sample passed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the rank-k audit computed cond(S)")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        audit = preserves_rank_k(depolarizing(4, 0.9), 2, samples=20, seed=0)
+        assert audit.pass_fraction == 0.0
+        assert not audit.inverse_pass
+
     def test_basis_subsets_do_not_span(self):
         # a -> diag(a) fixes all 6 basis-subset projections at n=4, k=2, but
         # sends a generic rank-2 projection to a diagonal that is not one.
@@ -312,3 +332,22 @@ class TestClassify:
             ClassifyConfig(projection_tol=tol)
         with pytest.raises(BadParameterError):
             ClassifyConfig().with_tolerance(tol)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+@pytest.mark.parametrize("call", [
+    lambda v: classify(transpose_superop(3), v),
+    lambda v: preserves_rank_k(transpose_superop(3), v),
+    lambda v: lemma1_projections(3, v),
+    lambda v: lemma1_projections(3, 1, which=v),
+], ids=["classify-k", "preserves_rank_k-k", "lemma1_projections-k", "lemma1_projections-which"])
+def test_non_integer_rank_or_index_rejected(call, value):
+    # Unchecked, 1.5 and "2" end in a bare TypeError and True runs as 1.
+    with pytest.raises(BadParameterError):
+        call(value)
+
+
+def test_numpy_integer_rank_accepted():
+    audit = preserves_rank_k(transpose_superop(3), np.int64(1), samples=5)
+    assert audit.pass_fraction == 1.0
+    assert lemma1_projections(3, np.int64(2), which=np.int64(1)).p.rank == 1
