@@ -24,9 +24,11 @@ from .genmaps import (
     FAMILIES,
     MapFamily,
     build_map,
+    choi_map,
     depolarizing,
     expected_flags,
     perturbed_wigner,
+    planted_indefinite,
     pseudo_depolarizing,
     transpose_superop,
     wigner_map,

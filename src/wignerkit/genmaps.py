@@ -22,12 +22,14 @@ from .matrix_core import (
     derive_seed,
     frobenius,
     haar_unitary,
+    hermitian_part,
     random_hermitian,
+    random_unit_vector,
     require_count,
     require_rank,
     require_unitary,
 )
-from .superop import SuperOp, vec
+from .superop import ChoiMatrix, SuperOp, from_action, from_choi, vec
 from .wigner import DIRECT, TRANSPOSE
 
 FAMILIES = ("wigner", "depolarizing", "pseudo_depolarizing", "perturbed_wigner")
@@ -58,6 +60,7 @@ def _transpose_columns(n: int) -> np.ndarray:
 
 def transpose_superop(n: int) -> SuperOp:
     """Superoperator of a -> a^t (a 0/1 permutation matrix)."""
+    require_count("n", n, 1)
     return SuperOp(n, np.eye(n * n, dtype=complex)[:, _transpose_columns(n)])
 
 
@@ -92,6 +95,7 @@ def depolarizing(n: int, lam: float) -> SuperOp:
     a matrix with spectrum {lam + (1-lam) k/n, (1-lam) k/n}, so rank-k
     preservation fails for every lam < 1.
     """
+    require_count("n", n, 1)
     if not 0.0 <= lam <= 1.0:
         raise BadParameterError(f"lambda={lam} outside [0, 1]")
     return SuperOp(n, lam * np.eye(n * n, dtype=complex) + (1.0 - lam) * _trace_superop(n))
@@ -104,6 +108,7 @@ def pseudo_depolarizing(n: int, mu: float) -> SuperOp:
     is (1 + mu)/n - mu, so the map stops being positive exactly when
     mu > 1/(n-1).
     """
+    require_count("n", n, 1)
     if mu < 0.0:
         raise BadParameterError(f"mu={mu} must be nonnegative")
     return SuperOp(n, (1.0 + mu) * _trace_superop(n) - mu * np.eye(n * n, dtype=complex))
@@ -121,6 +126,37 @@ def perturbed_wigner(u, variant: str, eps: float, seed=0) -> SuperOp:
     g = np.kron(h.T, h)
     g = g / frobenius(g)
     return SuperOp(base.n, base.mat + eps * g)
+
+
+def choi_map() -> SuperOp:
+    """Choi's positive map on 3x3 matrices, scaled by 1/2 to be unital.
+
+    phi(x) = (diag(x11 + x33, x11 + x22, x22 + x33) - offdiag(x)) / 2. It is
+    positive but not decomposable, so neither it nor phi o T is completely
+    positive. The least value of lambda_min(phi(x x*)) over unit x is 0,
+    attained at x = e1: phi(e1 e1*) = diag(1, 1, 0) / 2.
+    """
+    def action(x):
+        d = np.diag([x[0, 0] + x[2, 2], x[0, 0] + x[1, 1], x[1, 1] + x[2, 2]])
+        return (d - (x - np.diag(np.diag(x)))) / 2
+    return from_action(3, action)
+
+
+def planted_indefinite(n: int, seed=0) -> SuperOp:
+    """A Hermiticity-preserving map with a planted product vector of value -1.
+
+    Its Choi matrix C is a seeded random Hermitian matrix minus
+    (p* C p + 1) p p*, where p = conj(x0) kron y0 for seeded unit vectors x0
+    and y0. Since y0* phi(x0 x0*) y0 = p* C p = -1, the least value of
+    lambda_min(phi(x x*)) over unit x is at most -1 (and at least
+    lambda_min(C)), so the map is not positive whatever the rest of C is.
+    """
+    require_count("n", n, 1)
+    c = random_hermitian(n * n, derive_seed(seed, 0))
+    x0, y0 = (random_unit_vector(n, derive_seed(seed, i)) for i in (1, 2))
+    p = np.kron(x0.conj(), y0)
+    c = c - (np.real(np.vdot(p, c @ p)) + 1.0) * np.outer(p, p.conj())
+    return from_choi(ChoiMatrix(n, hermitian_part(c)))
 
 
 def build_map(name: str, n: int, params: dict | None = None, seed=0) -> SuperOp:

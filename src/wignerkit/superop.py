@@ -47,6 +47,7 @@ class SuperOp:
     convention: str = field(default=CONVENTION)
 
     def __post_init__(self):
+        require_count("n", self.n, 1)
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.shape != (self.n * self.n, self.n * self.n):
             raise DimensionMismatchError(
@@ -66,6 +67,7 @@ class ChoiMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        require_count("n", self.n, 1)
         self.mat = np.asarray(self.mat, dtype=complex)
         if self.mat.shape != (self.n * self.n, self.n * self.n):
             raise DimensionMismatchError(
@@ -77,17 +79,24 @@ class ChoiMatrix:
 
 @dataclass
 class PositivityCertificate:
-    """Outcome of the minimum-eigenvalue search over rank-1 inputs.
+    """Outcome of positivity_certificate: the least eigenvalue of phi(x x*) it found.
 
     A negative min_value certifies the map is not positive (witness is the
-    offending unit vector); a nonnegative one is strong evidence of
-    positivity, not proof.
+    offending unit vector). A nonnegative one is a proof of positivity when
+    proof is "cp" or "co-cp" (a Cholesky of the Choi matrix of phi or of
+    phi o T succeeded), and strong evidence, not proof, when proof is
+    "search". iterations holds each restart's seesaw iterations (all 0 with
+    a proof) and spread is the largest minus the least restart minimum (0.0
+    with a proof); neither is written to report files.
     """
 
     min_value: float
     witness: np.ndarray
     restarts: int
     converged: bool
+    proof: str
+    iterations: np.ndarray
+    spread: float
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -111,6 +120,7 @@ def from_action(n: int, action) -> SuperOp:
     Evaluates the map on every matrix unit; column (i, j) of the result is
     vec(action(E_ij)).
     """
+    require_count("n", n, 1)
     s = np.zeros((n * n, n * n), dtype=complex)
     for j in range(n):
         for i in range(n):
@@ -188,54 +198,59 @@ def _rank1_images(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return hermitian_part(out.reshape(t, n, n).swapaxes(1, 2))
 
 
-def _least_eigs(s: SuperOp, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Least eigenvalue and eigenvector of phi(x x*) for every row x of xs.
-    w, v = np.linalg.eigh(_rank1_images(s.mat, xs))
+def _least_eigs(mat: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Least eigenvalue and eigenvector of _rank1_images(mat, xs), row by row.
+    w, v = np.linalg.eigh(_rank1_images(mat, xs))
     return w[:, 0], v[:, :, 0]
 
 
-def _gradients(adj: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # Euclidean gradient of f at every row x of xs, via its minimal
-    # eigenvector v: f = x* G x with G = phi_adj(v v*), so euc = 2 G x.
-    return 2.0 * np.matmul(_rank1_images(adj, vs), xs[:, :, None])[:, :, 0]
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.vdot(a[r], b[r]) for every row r: one stacked matmul runs one BLAS
-    # dot per row, so each value equals its vdot bit for bit.
-    return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_norms(z: np.ndarray) -> np.ndarray:
-    # np.linalg.norm(z[r]) for every row r, summed as norm sums one complex
-    # vector: the strided real parts' dot plus the imaginary parts' dot.
-    re, im = z.real[:, None, :], z.imag[:, None, :]
-    return np.sqrt(np.matmul(re, re.swapaxes(1, 2))[:, 0, 0]
-                   + np.matmul(im, im.swapaxes(1, 2))[:, 0, 0])
+def _is_positive_definite(h: np.ndarray) -> bool:
+    # Whether a Cholesky of the Hermitian matrix h succeeds.
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
                            tol: float = 1e-9, seed=0,
                            hermiticity_tol: float | None = None) -> PositivityCertificate:
-    """Search for the most negative eigenvalue of phi(x x*) over unit x.
+    """Find the least value of lambda_min(phi(x x*)) over unit x: a proof first, then a search.
 
-    Multi-start projected gradient descent on the unit sphere. The objective
-    f(x) = lambda_min(phi(x x*)) is differentiated through the minimal
-    eigenvector, which is exact when the least eigenvalue is simple and a
-    valid subgradient choice otherwise. Step sizes come from backtracking
-    line search. The verdict "positive" is min_value >= -tol: a negative
-    min_value is a certificate of non-positivity, a nonnegative one is
-    heuristic evidence of positivity.
+    Since phi(x x*) = (conj(x) kron I)* C (conj(x) kron I) for the Choi
+    matrix C, lambda_min(phi(x x*)) >= lambda_min(C) for every unit x (both
+    taken on Hermitian parts). So when a Cholesky of C + tol I succeeds, the
+    map is completely positive up to tol and min_value >= -tol is proven
+    ("cp"); the same test on the Choi matrix of phi o T proves it
+    co-completely positive ("co-cp"). The proof holds up to Cholesky's
+    backward error: success means C + tol I + E is positive definite, with
+    ||E||_2 of order (d+1) u tr(C + tol I), d = n^2 and u the unit roundoff
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10): about
+    5e-13 for a unital map at n = 16. With a proof no search runs:
+    min_value is the value at restart 0's seeded start, which is also the
+    witness. The proofs are not tried when that value is below -tol, since
+    then neither can hold.
 
-    Restarts are independent streams derived from (seed, restart index), so
-    the result is deterministic for a fixed (seed, restarts). All restarts
-    descend in lockstep: the ones still running are rows of one array, and
-    each iteration takes their eigenpairs, gradients, norms and backtracking
-    trials as stacked numpy calls, each row with its own step size. A row
-    leaves at its gradient stop, after 30 halvings without descent, or at
-    max_iters. Every stacked call runs the same BLAS and LAPACK routine per
-    row as a one-restart-at-a-time loop would, so the result is the same to
-    the bit; the best restart is the first one that reaches the minimum.
+    Otherwise ("search") a seesaw minimises y* phi(x x*) y over unit x and
+    y (Ling, Nie, Qi and Ye, SIAM J. Optim. 20 (2009) 1286). The y-step
+    takes the least eigenvector of phi(x x*), the x-step that of
+    phi_adj(y y*), since y* phi(x x*) y = x* phi_adj(y y*) x. Each half-step
+    is an exact minimisation, so the value never increases and there is no
+    step size. A restart stops when a half-step lowers its value by at most
+    max(1e-12, 1e-2 tol) (converged) or after max_iters iterations. An
+    x-step that stops it keeps its previous point, so every restart ends on
+    a point whose value lambda_min(phi(x x*)) it has computed. The restarts
+    are rows of one array; every stacked call runs the same BLAS and LAPACK
+    routine per row as one restart at a time would, so the result is the
+    same to the bit. The best restart is the first that reaches the least
+    value, and min_value is recomputed from its witness.
+
+    A negative min_value certifies non-positivity through its witness
+    either way; a nonnegative one is a proof with "cp" or "co-cp" and
+    heuristic evidence with "search". Restart starts are independent
+    streams derived from (seed, restart index), so the result is
+    deterministic for a fixed (seed, restarts).
 
     The map must preserve Hermiticity within hermiticity_tol (default
     max(tol, 1e-10)); a caller that has already tested it passes the
@@ -250,57 +265,74 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
         raise NotHermiticityPreservingError(
             "positivity search requires a Hermiticity-preserving map")
     n = s.n
+    x0 = random_unit_vector(n, derive_seed(seed, 0))
+    (f0,), _ = _least_eigs(s.mat, x0[None])
+    proof = None
+    if f0 >= -tol:
+        h = hermitian_part(_reshuffle(s.mat, n)) + tol * np.eye(n * n)
+        # The Choi matrix of phi o T, whose superoperator is S with its
+        # columns permuted, is the partial transpose of C: block (i, j) is
+        # phi(E_ji). It commutes with the Hermitian part and keeps tol I.
+        if _is_positive_definite(h):
+            proof = "cp"
+        elif _is_positive_definite(h.reshape(n, n, n, n).swapaxes(0, 2).reshape(n * n, n * n)):
+            proof = "co-cp"
+    if proof:
+        return PositivityCertificate(min_value=float(f0), witness=x0, restarts=restarts,
+                                     converged=True, proof=proof,
+                                     iterations=np.zeros(restarts, dtype=int), spread=0.0)
+    return _seesaw(s, restarts, max_iters, tol, seed)
+
+
+def _seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float,
+            seed) -> PositivityCertificate:
+    # positivity_certificate's search stage, run whether or not a proof exists.
+    n = s.n
+    iterations = np.zeros(restarts, dtype=int)
     adj = dagger(s.mat)
     gtol = max(1e-12, 1e-2 * tol)
-
     x = np.array([random_unit_vector(n, derive_seed(seed, r)) for r in range(restarts)])
-    f, v = _least_eigs(s, x)
-    euc = _gradients(adj, v, x)
-    step = np.ones(restarts)
-    # Rows of x, f, euc and step are the restarts still descending, which
-    # live lists in restart order; a restart that stops leaves its point and
-    # value in final_x and final_f.
+    f, y = _least_eigs(s.mat, x)
+    # Rows of x, f and y are the restarts still running, which live lists
+    # in restart order; a restart that stops leaves its point and value in
+    # final_x and final_f.
     live = np.arange(restarts)
     final_x, final_f = x.copy(), f.copy()
     converged = np.zeros(restarts, dtype=bool)
+
+    def stop(still: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
+        # Record the rows not still running as converged; return the live rest.
+        done = live[~still]
+        converged[done] = True
+        final_x[done], final_f[done] = xs[~still], fs[~still]
+        return live[still]
+
     for _ in range(max_iters):
-        # Riemannian gradient: euc projected onto the sphere's tangent space.
-        rgrad = euc - x * _row_dots(x, euc).real[:, None]
-        gnorm = _row_norms(rgrad)
-        alpha = step.copy()
-        moved = np.zeros(live.size, dtype=bool)
-        xn, fn, vn = np.empty_like(x), np.empty_like(f), np.empty_like(x)
-        searching = np.flatnonzero(gnorm > gtol)
-        for _ in range(30):
-            if not searching.size:
-                break
-            a, g = alpha[searching], gnorm[searching]
-            cand = x[searching] - a[:, None] * rgrad[searching]
-            cand = cand / _row_norms(cand)[:, None]
-            fc, vc = _least_eigs(s, cand)
-            ok = fc <= f[searching] - 1e-4 * a * g * g
-            rows = searching[ok]
-            xn[rows], fn[rows], vn[rows], moved[rows] = cand[ok], fc[ok], vc[ok], True
-            searching = searching[~ok]
-            alpha[searching] *= 0.5
-        # A row that did not move is at its gradient stop or has no descent
-        # step at this scale: stationary enough.
-        stopped = live[~moved]
-        converged[stopped] = True
-        final_x[stopped], final_f[stopped] = x[~moved], f[~moved]
-        live, x, f = live[moved], xn[moved], fn[moved]
+        iterations[live] += 1
+        g, xn = _least_eigs(adj, y)
+        still = f - g > gtol
+        live = stop(still, x, f)
         if not live.size:
             break
-        step = np.minimum(2.0 * alpha[moved], 1.0)
-        euc = _gradients(adj, vn[moved], x)
-    final_x[live], final_f[live] = x, f
+        g, xn = g[still], xn[still]
+        fn, yn = _least_eigs(s.mat, xn)
+        still = g - fn > gtol
+        live = stop(still, xn, fn)
+        if not live.size:
+            break
+        x, f, y = xn[still], fn[still], yn[still]
+    else:
+        # The rows still running reached max_iters.
+        final_x[live], final_f[live] = x, f
 
     # np.argmin picks the first restart that reaches the minimum.
     best = np.argmin(final_f)
     # Re-derive the certified value directly from the witness.
-    (final_val,), _ = _least_eigs(s, final_x[best][None])
-    return PositivityCertificate(min_value=float(final_val), witness=final_x[best].copy(),
-                                 restarts=restarts, converged=bool(converged[best]))
+    (value,), _ = _least_eigs(s.mat, final_x[best][None])
+    return PositivityCertificate(min_value=float(value), witness=final_x[best].copy(),
+                                 restarts=restarts, converged=bool(converged[best]),
+                                 proof="search", iterations=iterations,
+                                 spread=float(final_f.max() - final_f.min()))
 
 
 def is_invertible(s: SuperOp) -> bool:

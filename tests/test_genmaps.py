@@ -11,6 +11,7 @@ from wignerkit import (
     WignerkitError,
     apply,
     build_map,
+    choi_map,
     classify,
     depolarizing,
     expected_flags,
@@ -18,14 +19,17 @@ from wignerkit import (
     is_hermiticity_preserving,
     is_unital,
     perturbed_wigner,
+    planted_indefinite,
     positivity_certificate,
     preserves_rank_k,
     pseudo_depolarizing,
     random_rank_k_projection,
     random_unit_vector,
+    to_choi,
     transpose_superop,
     wigner_map,
 )
+from wignerkit.matrix_core import derive_seed
 
 
 class TestWignerMap:
@@ -136,6 +140,56 @@ class TestPerturbedWigner:
         assert is_hermiticity_preserving(perturbed_wigner(u, DIRECT, 0.1, seed=3), 1e-9)
 
 
+def _least_value_at(s, x):
+    out = apply(s, np.outer(x, x.conj()))
+    return np.linalg.eigvalsh((out + out.conj().T) / 2)[0]
+
+
+class TestChoiMap:
+    def test_action_and_unitality(self):
+        a = np.arange(9.0).reshape(3, 3) + 1j
+        d = np.diag([a[0, 0] + a[2, 2], a[0, 0] + a[1, 1], a[1, 1] + a[2, 2]])
+        np.testing.assert_allclose(apply(choi_map(), a), (d - a + np.diag(np.diag(a))) / 2)
+        assert is_unital(choi_map())
+
+    def test_least_value_is_zero(self):
+        # 0 at e1 (the closed-form minimum), nonnegative at every other start,
+        # and the search ends within its gate.
+        s = choi_map()
+        assert _least_value_at(s, np.eye(3)[0]) == 0.0
+        assert min(_least_value_at(s, random_unit_vector(3, (12, i))) for i in range(50)) >= 0
+        cert = positivity_certificate(s)
+        assert cert.proof == "search" and -1e-9 <= cert.min_value <= 1e-9
+
+    def test_not_decomposable(self):
+        # Neither phi nor phi o T is completely positive.
+        choi = to_choi(choi_map()).mat
+        partial = choi.reshape(3, 3, 3, 3).swapaxes(0, 2).reshape(9, 9)
+        assert np.linalg.eigvalsh(choi)[0] < -0.1 and np.linalg.eigvalsh(partial)[0] < -0.1
+
+
+class TestPlantedIndefinite:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_planted_value_is_minus_one(self, n):
+        s = planted_indefinite(n, 4)
+        x0, y0 = (random_unit_vector(n, derive_seed(4, i)) for i in (1, 2))
+        out = apply(s, np.outer(x0, x0.conj()))
+        assert np.vdot(y0, out @ y0).real == pytest.approx(-1.0, abs=1e-12)
+        assert is_hermiticity_preserving(s)
+        assert _least_value_at(s, x0) <= -1.0 + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_search_finds_at_most_minus_one(self, n):
+        s = planted_indefinite(n, 7)
+        cert = positivity_certificate(s, restarts=10, max_iters=200)
+        assert cert.proof == "search"
+        assert np.linalg.eigvalsh(to_choi(s).mat)[0] - 1e-9 <= cert.min_value <= -1.0
+
+    def test_seeded(self):
+        np.testing.assert_array_equal(planted_indefinite(3, 2).mat, planted_indefinite(3, 2).mat)
+        assert not np.array_equal(planted_indefinite(3, 2).mat, planted_indefinite(3, 3).mat)
+
+
 class TestUnitalInvariance:
     def test_trace_families_commute_with_conjugation(self):
         # both families are functions of a and tr(a) only
@@ -171,6 +225,17 @@ class TestFamilyRegistry:
     def test_non_integer_rank_rejected(self, k):
         with pytest.raises(BadParameterError):
             expected_flags("wigner", 3, {}, k)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])
+    def test_non_integer_dimension_rejected(self, n):
+        for make in (lambda: depolarizing(n, 0.5), lambda: pseudo_depolarizing(n, 0.5),
+                     lambda: transpose_superop(n), lambda: planted_indefinite(n, 0),
+                     lambda: build_map("wigner", n, {}, 0),
+                     lambda: build_map("depolarizing", n, {"lambda": 0.5}, 0),
+                     lambda: build_map("pseudo_depolarizing", n, {"mu": 0.5}, 0),
+                     lambda: build_map("perturbed_wigner", n, {"epsilon": 0.1}, 0)):
+            with pytest.raises(BadParameterError):
+                make()
 
     def test_missing_parameter(self):
         with pytest.raises(BadParameterError):

@@ -5,13 +5,15 @@ one `apply` per Hermitian basis element, per matrix unit or per test
 projection, and one `validate_projection` per image. The stages read every
 phi(E_ij) off one view of the superoperator, so these tests pin that view
 and the stacked arithmetic to the loops, map by map. The stacked Haar draws
-and the positivity search, whose restarts descend in lockstep, change no
+and the positivity seesaw, whose restarts run in lockstep, change no
 arithmetic, so their references must agree bit for bit.
 
 `ref_rank_k` keeps the inverse audit the stage no longer runs: it inverts
 the map and audits the inverse on a second seed stream. The stage derives
 inverse_pass from its forward pass and cond(S) alone, so the old loop is the
 cross-check that the derived predicate agrees with it, map by map.
+`ref_positivity` keeps the projected gradient descent the seesaw replaced,
+as the oracle its minima must reach.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from wignerkit import (
     SuperOp,
     apply,
     build_map,
+    choi_map,
     classify,
     extract_unitary,
     from_action,
@@ -35,6 +38,7 @@ from wignerkit import (
     haar_unitary,
     invert,
     is_hermiticity_preserving,
+    planted_indefinite,
     positivity_certificate,
     preserves_rank_k,
     random_rank_k_projection,
@@ -231,57 +235,6 @@ def test_stacked_draws_match_per_seed_draws(n):
             assert np.array_equal(m, random_rank_k_projection(n, k, seed).matrix)
 
 
-def ref_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
-    # The search one restart at a time, each first step its own apply and eigh.
-    n = s.n
-    s_adj = SuperOp(n, s.mat.conj().T)
-    gtol = max(1e-12, 1e-2 * tol)
-
-    def least_eig(x):
-        out = apply(s, np.outer(x, x.conj()))
-        w, v = np.linalg.eigh((out + out.conj().T) / 2)
-        return float(w[0]), v[:, 0]
-
-    best_val, best_x, best_converged = np.inf, None, False
-    for r in range(restarts):
-        x = random_unit_vector(n, derive_seed(seed, r))
-        f, v = least_eig(x)
-        step = 1.0
-        converged = False
-        for _ in range(max_iters):
-            g = apply(s_adj, np.outer(v, v.conj()))
-            euc = 2.0 * (((g + g.conj().T) / 2) @ x)
-            rgrad = euc - x * np.real(np.vdot(x, euc))
-            gnorm = float(np.linalg.norm(rgrad))
-            if gnorm <= gtol:
-                converged = True
-                break
-            alpha = step
-            for _ in range(30):
-                xn = x - alpha * rgrad
-                xn = xn / np.linalg.norm(xn)
-                fn, vn = least_eig(xn)
-                if fn <= f - 1e-4 * alpha * gnorm * gnorm:
-                    break
-                alpha *= 0.5
-            else:
-                converged = True
-                break
-            x, f, v = xn, fn, vn
-            step = min(2.0 * alpha, 1.0)
-        if f < best_val:
-            best_val, best_x, best_converged = f, x, converged
-    return least_eig(best_x)[0], best_x, best_converged
-
-
-def choi_map() -> SuperOp:
-    # Choi's positive, non-decomposable map on 3x3 matrices.
-    def action(x):
-        d = np.diag([x[0, 0] + x[2, 2], x[0, 0] + x[1, 1], x[1, 1] + x[2, 2]])
-        return d - (x - np.diag(np.diag(x)))
-    return from_action(3, action)
-
-
 POSITIVITY_MAPS = {
     "wigner": lambda: build_map("wigner", 4, {"variant": "direct"}, 11),
     "wigner_transpose": lambda: build_map("wigner", 5, {"variant": "transpose"}, 12),
@@ -295,83 +248,126 @@ POSITIVITY_MAPS = {
 }
 
 
+def ref_least_eig(s: SuperOp, x: np.ndarray):
+    # Least eigenvalue and eigenvector of phi(x x*): one apply, one eigh.
+    out = apply(s, np.outer(x, x.conj()))
+    w, v = np.linalg.eigh((out + out.conj().T) / 2)
+    return float(w[0]), v[:, 0]
+
+
+def ref_seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
+    # The seesaw one restart at a time, each half-step its own apply and eigh.
+    # Returns (value, point, converged, iterations) for every restart.
+    n = s.n
+    s_adj = SuperOp(n, s.mat.conj().T)
+    gtol = max(1e-12, 1e-2 * tol)
+    ends = []
+    for r in range(restarts):
+        x = random_unit_vector(n, derive_seed(seed, r))
+        f, y = ref_least_eig(s, x)
+        iterations, converged = 0, False
+        while iterations < max_iters and not converged:
+            iterations += 1
+            g, xn = ref_least_eig(s_adj, y)
+            if f - g <= gtol:
+                converged = True
+                break
+            fn, yn = ref_least_eig(s, xn)
+            converged = g - fn <= gtol
+            x, f, y = xn, fn, yn
+        ends.append((f, x, converged, iterations))
+    return ends
+
+
 @pytest.mark.parametrize("restarts,max_iters", [(4, 30), (1, 30), (3, 0), (20, 150)])
 @pytest.mark.parametrize("name", sorted(POSITIVITY_MAPS))
 def test_positivity_matches_restart_loop(name, restarts, max_iters):
+    # The search stage itself, so that maps with a Cholesky proof are searched too.
     s = POSITIVITY_MAPS[name]()
-    cert = positivity_certificate(s, restarts=restarts, max_iters=max_iters, seed=(6, 2))
-    min_value, witness, converged = ref_positivity(s, restarts, max_iters, 1e-9, (6, 2))
-    assert cert.min_value == min_value
+    cert = superop._seesaw(s, restarts, max_iters, 1e-9, (6, 2))
+    ends = ref_seesaw(s, restarts, max_iters, 1e-9, (6, 2))
+    values = [end[0] for end in ends]
+    _, witness, converged, _ = ends[values.index(min(values))]
+    assert cert.proof == "search"
+    assert cert.min_value == ref_least_eig(s, witness)[0]
     assert np.array_equal(cert.witness, witness)
     assert cert.converged == converged
+    assert cert.iterations.tolist() == [end[3] for end in ends]
+    assert cert.spread == max(values) - min(values)
     if max_iters == 0:
         assert not cert.converged
 
 
-def ref_positivity_exits(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
-    # ref_positivity, counting how each restart ends instead of returning the best.
+@pytest.mark.parametrize("name", ["choi", "random_hp"])
+def test_positivity_pins_mixed_exits(name):
+    # At (20, 150) the restarts of one call meet the stall rule at different
+    # iterations, and on Choi's map some run to max_iters, so the (20, 150)
+    # case of test_positivity_matches_restart_loop pins the lockstep search
+    # as it drops rows at different iterations.
+    ends = ref_seesaw(POSITIVITY_MAPS[name](), 20, 150, 1e-9, (6, 2))
+    assert len({iterations for _, _, converged, iterations in ends if converged}) > 1
+    assert any(not converged for _, _, converged, _ in ends) == (name == "choi")
+
+
+def test_positivity_eigensolves_are_stacked(monkeypatch):
+    # Each half-step of all running restarts is one _least_eigs call, so
+    # Choi's map at the default 50 restarts and 500 iterations makes at most
+    # 2 * 500 + 3 of them; restart at a time, its seesaw makes over 20,000.
+    # A count does not depend on the machine's speed.
+    calls = []
+    least_eigs = superop._least_eigs
+
+    def counting(mat, xs):
+        calls.append(len(xs))
+        return least_eigs(mat, xs)
+
+    monkeypatch.setattr(superop, "_least_eigs", counting)
+    positivity_certificate(choi_map())
+    assert len(calls) <= 1003
+
+
+def ref_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
+    # The projected gradient descent with backtracking that the seesaw
+    # replaced, one restart at a time: the oracle for the seesaw's minima.
     n = s.n
     s_adj = SuperOp(n, s.mat.conj().T)
     gtol = max(1e-12, 1e-2 * tol)
-
-    def least_eig(x):
-        out = apply(s, np.outer(x, x.conj()))
-        w, v = np.linalg.eigh((out + out.conj().T) / 2)
-        return float(w[0]), v[:, 0]
-
-    exits = {"gradient": 0, "backtracking": 0, "max_iters": 0}
+    best_val, best_x = np.inf, None
     for r in range(restarts):
         x = random_unit_vector(n, derive_seed(seed, r))
-        f, v = least_eig(x)
+        f, v = ref_least_eig(s, x)
         step = 1.0
-        how = "max_iters"
         for _ in range(max_iters):
             g = apply(s_adj, np.outer(v, v.conj()))
             euc = 2.0 * (((g + g.conj().T) / 2) @ x)
             rgrad = euc - x * np.real(np.vdot(x, euc))
             gnorm = float(np.linalg.norm(rgrad))
             if gnorm <= gtol:
-                how = "gradient"
                 break
             alpha = step
             for _ in range(30):
                 xn = x - alpha * rgrad
                 xn = xn / np.linalg.norm(xn)
-                fn, vn = least_eig(xn)
+                fn, vn = ref_least_eig(s, xn)
                 if fn <= f - 1e-4 * alpha * gnorm * gnorm:
                     break
                 alpha *= 0.5
             else:
-                how = "backtracking"
                 break
             x, f, v = xn, fn, vn
             step = min(2.0 * alpha, 1.0)
-        exits[how] += 1
-    return exits
+        if f < best_val:
+            best_val, best_x = f, x
+    return ref_least_eig(s, best_x)[0]
 
 
-@pytest.mark.parametrize("name", ["choi", "random_hp"])
-def test_positivity_pins_mixed_exits(name):
-    # At (20, 150) some restarts of one call run out of descent steps while
-    # others run to max_iters, so the (20, 150) case of
-    # test_positivity_matches_restart_loop pins the lockstep search as it
-    # drops rows at different iterations.
-    exits = ref_positivity_exits(POSITIVITY_MAPS[name](), 20, 150, 1e-9, (6, 2))
-    assert exits["backtracking"] > 0 and exits["max_iters"] > 0
+ORACLE_MAPS = dict(POSITIVITY_MAPS, planted=lambda: planted_indefinite(3, 15))
 
 
-def test_positivity_eigensolves_are_stacked(monkeypatch):
-    # Restart at a time, Choi's map at the default 50 restarts and 500
-    # iterations makes 30,965 _least_eigs calls, nearly all on one row; in
-    # lockstep each trial step of all searching restarts is one call, 1,155
-    # in all. A count does not depend on the machine's speed.
-    calls = []
-    least_eigs = superop._least_eigs
-
-    def counting(s, xs):
-        calls.append(len(xs))
-        return least_eigs(s, xs)
-
-    monkeypatch.setattr(superop, "_least_eigs", counting)
-    positivity_certificate(choi_map())
-    assert len(calls) < 3000
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+def test_positivity_reaches_the_descents_minimum(name):
+    # At the defaults, with or without a proof, min_value is no higher than
+    # the old descent's minimum from the same starts.
+    s = ORACLE_MAPS[name]()
+    cert = positivity_certificate(s, seed=(6, 2))
+    assert cert.min_value <= ref_positivity(s, 50, 500, 1e-9, (6, 2)) + 1e-9

@@ -106,6 +106,8 @@ class TestReportJson:
         hyp = obj["hypotheses"]
         assert hyp["unital"] is True
         assert hyp["positivity"]["min_value"] >= -1e-9
+        # proof, iterations and spread stay off the wire.
+        assert set(hyp["positivity"]) == {"min_value", "restarts", "converged"}
         assert hyp["rank_k_audit"]["pass_fraction"] == 1.0
         json.dumps(obj)  # serializable
 

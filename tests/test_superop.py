@@ -10,6 +10,7 @@ from wignerkit import (
     SingularMapError,
     SuperOp,
     apply,
+    choi_map,
     depolarizing,
     from_action,
     from_choi,
@@ -17,14 +18,18 @@ from wignerkit import (
     invert,
     is_hermiticity_preserving,
     is_unital,
+    perturbed_wigner,
+    planted_indefinite,
     positivity_certificate,
     pseudo_depolarizing,
+    random_unit_vector,
     to_choi,
     transpose_superop,
     unvec,
     vec,
     wigner_map,
 )
+from wignerkit.matrix_core import derive_seed
 
 
 def _unit(n, i, j):
@@ -40,6 +45,18 @@ def test_non_finite_entries_rejected(cls, bad):
     mat[1, 2] = bad
     with pytest.raises(NonFiniteError):
         cls(2, mat)
+
+
+@pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])
+def test_non_integer_dimension_rejected(n):
+    # 2.0 and True pass a shape check (2.0 * 2.0 == 4, True * True == 1).
+    for size in (1, 4):
+        with pytest.raises(BadParameterError):
+            SuperOp(n, np.eye(size))
+        with pytest.raises(BadParameterError):
+            ChoiMatrix(n, np.eye(size))
+    with pytest.raises(BadParameterError):
+        from_action(n, lambda a: a)
 
 
 class TestVec:
@@ -233,6 +250,68 @@ class TestPositivity:
         s = from_choi(ChoiMatrix(2, np.random.default_rng(3).standard_normal((4, 4))))
         with pytest.raises(BadParameterError):
             positivity_certificate(s, **kwargs)
+
+
+def _choi_with_least_eigenvalue(n: int, lam: float) -> np.ndarray:
+    # Omega Omega* + I/2 - (1/2 - lam) psi psi*, Omega = sum_i e_i kron e_i and
+    # psi = sum_i w^i e_i kron e_i / sqrt(n) with w = exp(2 pi i / n), which
+    # is orthogonal to Omega: eigenvalues n + 1/2, lam and 1/2. A product
+    # vector p has |psi* p|^2 <= 1/n, so p* C p >= 1/2 - (1/2 - lam)/n > 0:
+    # the map is positive. The partial transpose is SWAP + I/2 minus a term
+    # of norm at most 1/n, negative on antisymmetric vectors: not co-CP.
+    omega = np.eye(n).reshape(-1).astype(complex)
+    psi = np.diag(np.exp(2j * np.pi * np.arange(n) / n)).reshape(-1) / np.sqrt(n)
+    return (np.outer(omega, omega) + np.eye(n * n) / 2
+            - (0.5 - lam) * np.outer(psi, psi.conj()))
+
+
+class TestPositivityProofs:
+    @pytest.mark.parametrize("make,proof", [
+        (lambda: wigner_map(haar_unitary(4, 5)), "cp"),
+        (lambda: wigner_map(haar_unitary(4, 5), "transpose"), "co-cp"),
+        (lambda: depolarizing(4, 0.3), "cp"),
+        (lambda: pseudo_depolarizing(4, 1.0 / 3.0), "co-cp"),
+        (lambda: perturbed_wigner(haar_unitary(4, 6), "direct", 0.1, seed=6), "cp"),
+    ], ids=["wigner", "wigner_transpose", "depolarizing", "pseudo_depolarizing_edge",
+            "perturbed_direct"])
+    def test_proof_skips_the_search(self, make, proof):
+        s = make()
+        cert = positivity_certificate(s, restarts=7, seed=3)
+        x0 = random_unit_vector(4, derive_seed(3, 0))
+        out = apply(s, np.outer(x0, x0.conj()))
+        assert cert.proof == proof and cert.converged
+        assert np.array_equal(cert.witness, x0)
+        assert cert.min_value == pytest.approx(np.linalg.eigvalsh((out + out.conj().T) / 2)[0],
+                                               abs=1e-15)
+        assert cert.iterations.tolist() == [0] * 7 and cert.spread == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("factor,proof", [(-0.5, "cp"), (-2.0, "search")])
+    def test_proof_boundary_is_tol(self, n, factor, proof):
+        lam = factor * 1e-9
+        c = _choi_with_least_eigenvalue(n, lam)
+        assert np.linalg.eigvalsh(c)[0] == pytest.approx(lam, abs=1e-15)
+        cert = positivity_certificate(from_choi(ChoiMatrix(n, c)), restarts=4, tol=1e-9)
+        assert cert.proof == proof
+        assert cert.min_value >= 0.5 - (0.5 - lam) / n - 1e-12
+
+    @pytest.mark.parametrize("make", [
+        choi_map, lambda: planted_indefinite(2, 0), lambda: planted_indefinite(4, 1),
+        lambda: pseudo_depolarizing(3, 0.6), lambda: pseudo_depolarizing(5, 0.3)],
+        ids=["choi", "planted_2", "planted_4", "pseudo_depolarizing_3", "pseudo_depolarizing_5"])
+    def test_never_proven(self, make):
+        cert = positivity_certificate(make(), restarts=4, max_iters=50)
+        assert cert.proof == "search"
+        assert cert.iterations.shape == (4,) and 1 <= cert.iterations.min()
+        assert cert.iterations.max() <= 50 and cert.spread >= 0.0
+
+    def test_no_cholesky_below_minus_tol(self, monkeypatch):
+        # The start's value is below -tol, so no proof can hold and none is tried.
+        def refuse(_):
+            raise AssertionError("Cholesky attempted")
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        cert = positivity_certificate(pseudo_depolarizing(4, 0.6), restarts=3)
+        assert cert.proof == "search" and cert.min_value == pytest.approx(-0.2, abs=1e-12)
 
 
 class TestInvert:
