@@ -13,6 +13,7 @@ Families (column-stacking superoperators throughout):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,11 @@ def build_map(name: str, n: int, params: dict | None = None, seed=0) -> SuperOp:
 def _require_param(params: dict, key: str) -> float:
     if key not in params:
         raise BadParameterError(f"family parameter {key!r} is required")
-    return float(params[key])
+    value = params[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value)):
+        raise BadParameterError(f"family parameter {key}={value!r} must be a finite real number")
+    return float(value)
 
 
 def expected_flags(name: str, n: int, params: dict | None, k: int) -> MapFamily:

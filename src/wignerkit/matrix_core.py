@@ -262,8 +262,18 @@ def random_unit_vector(n: int, seed=0) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def require_seed(seed):
+    """Raise BadParameterError unless seed is a non-negative integer (booleans
+    are not) or a tuple or list of them."""
+    for entry in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if isinstance(entry, bool) or not isinstance(entry, (int, np.integer)) or entry < 0:
+            raise BadParameterError(
+                f"seed={seed!r} must be a non-negative integer or a tuple or list of them")
+
+
 def derive_seed(seed, *indices):
     """Extend a seed with stream indices, for independent sub-draws."""
+    require_seed(seed)
     if isinstance(seed, (int, np.integer)):
         return (int(seed),) + tuple(indices)
     return tuple(seed) + tuple(indices)

@@ -5,12 +5,12 @@ vec(X Y Z) = (Z^T kron X) vec(Y). The superoperator of a map phi is the
 n^2-by-n^2 matrix S with S vec(a) = vec(phi(a)); the Choi matrix is
 C = sum_ij E_ij kron phi(E_ij). The two are entry reshuffles of one another.
 Mixing vectorization conventions is the classic silent bug in this domain,
-so the tag is carried through serialization and checked on load.
+so serialization writes the CONVENTION tag and checks it on load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .matrix_core import (
     derive_seed,
     random_unit_vector,
     require_count,
+    require_seed,
     require_tolerance,
 )
 
@@ -44,7 +45,6 @@ class SuperOp:
 
     n: int
     mat: np.ndarray
-    convention: str = field(default=CONVENTION)
 
     def __post_init__(self):
         require_count("n", self.n, 1)
@@ -55,8 +55,6 @@ class SuperOp:
                 f"got {self.mat.shape}")
         if not np.all(np.isfinite(self.mat)):
             raise NonFiniteError("superoperator contains NaN or infinite entries")
-        if self.convention != CONVENTION:
-            raise DimensionMismatchError(f"unsupported convention {self.convention!r}")
 
 
 @dataclass
@@ -214,8 +212,7 @@ def _is_positive_definite(h: np.ndarray) -> bool:
 
 
 def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
-                           tol: float = 1e-9, seed=0,
-                           hermiticity_tol: float | None = None) -> PositivityCertificate:
+                           tol: float = 1e-9, seed=0) -> PositivityCertificate:
     """Find the least value of lambda_min(phi(x x*)) over unit x: a proof first, then a search.
 
     Since phi(x x*) = (conj(x) kron I)* C (conj(x) kron I) for the Choi
@@ -244,7 +241,7 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     are rows of one array; every stacked call runs the same BLAS and LAPACK
     routine per row as one restart at a time would, so the result is the
     same to the bit. The best restart is the first that reaches the least
-    value, and min_value is recomputed from its witness.
+    value; min_value is its final value and the witness its final point.
 
     A negative min_value certifies non-positivity through its witness
     either way; a nonnegative one is a proof with "cp" or "co-cp" and
@@ -252,18 +249,24 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     streams derived from (seed, restart index), so the result is
     deterministic for a fixed (seed, restarts).
 
-    The map must preserve Hermiticity within hermiticity_tol (default
-    max(tol, 1e-10)); a caller that has already tested it passes the
-    tolerance it tested at.
+    Raises BadParameterError for a bad count, tolerance or seed, and
+    NotHermiticityPreservingError unless the map preserves Hermiticity
+    within max(tol, 1e-10).
     """
     require_count("restarts", restarts, 1)
     require_count("max_iters", max_iters, 0)
     require_tolerance("tol", tol)
-    if hermiticity_tol is None:
-        hermiticity_tol = max(tol, 1e-10)
-    if not is_hermiticity_preserving(s, hermiticity_tol):
+    require_seed(seed)
+    if not is_hermiticity_preserving(s, max(tol, 1e-10)):
         raise NotHermiticityPreservingError(
             "positivity search requires a Hermiticity-preserving map")
+    return _certify_positivity(s, restarts, max_iters, tol, seed)
+
+
+def _certify_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float,
+                        seed) -> PositivityCertificate:
+    # positivity_certificate on arguments already checked, for a map already
+    # known to preserve Hermiticity.
     n = s.n
     x0 = random_unit_vector(n, derive_seed(seed, 0))
     (f0,), _ = _least_eigs(s.mat, x0[None])
@@ -287,52 +290,32 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
 def _seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float,
             seed) -> PositivityCertificate:
     # positivity_certificate's search stage, run whether or not a proof exists.
-    n = s.n
-    iterations = np.zeros(restarts, dtype=int)
+    # Row r of x, f and y is restart r's point, its value and the least
+    # eigenvector of phi(x x*) there; live lists the restarts still running.
     adj = dagger(s.mat)
     gtol = max(1e-12, 1e-2 * tol)
-    x = np.array([random_unit_vector(n, derive_seed(seed, r)) for r in range(restarts)])
+    x = np.array([random_unit_vector(s.n, derive_seed(seed, r)) for r in range(restarts)])
     f, y = _least_eigs(s.mat, x)
-    # Rows of x, f and y are the restarts still running, which live lists
-    # in restart order; a restart that stops leaves its point and value in
-    # final_x and final_f.
+    iterations = np.zeros(restarts, dtype=int)
     live = np.arange(restarts)
-    final_x, final_f = x.copy(), f.copy()
-    converged = np.zeros(restarts, dtype=bool)
-
-    def stop(still: np.ndarray, xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
-        # Record the rows not still running as converged; return the live rest.
-        done = live[~still]
-        converged[done] = True
-        final_x[done], final_f[done] = xs[~still], fs[~still]
-        return live[still]
-
     for _ in range(max_iters):
+        if not live.size:
+            break
         iterations[live] += 1
-        g, xn = _least_eigs(adj, y)
-        still = f - g > gtol
-        live = stop(still, x, f)
-        if not live.size:
-            break
-        g, xn = g[still], xn[still]
-        fn, yn = _least_eigs(s.mat, xn)
-        still = g - fn > gtol
-        live = stop(still, xn, fn)
-        if not live.size:
-            break
-        x, f, y = xn[still], fn[still], yn[still]
-    else:
-        # The rows still running reached max_iters.
-        final_x[live], final_f[live] = x, f
+        g, xn = _least_eigs(adj, y[live])
+        # A row the x-step stops keeps its old point; the others move to xn.
+        down = f[live] - g > gtol
+        live, g, xn = live[down], g[down], xn[down]
+        x[live] = xn
+        f[live], y[live] = _least_eigs(s.mat, xn)
+        live = live[g - f[live] > gtol]
 
     # np.argmin picks the first restart that reaches the minimum.
-    best = np.argmin(final_f)
-    # Re-derive the certified value directly from the witness.
-    (value,), _ = _least_eigs(s.mat, final_x[best][None])
-    return PositivityCertificate(min_value=float(value), witness=final_x[best].copy(),
-                                 restarts=restarts, converged=bool(converged[best]),
+    best = np.argmin(f)
+    return PositivityCertificate(min_value=float(f[best]), witness=x[best].copy(),
+                                 restarts=restarts, converged=best not in live,
                                  proof="search", iterations=iterations,
-                                 spread=float(final_f.max() - final_f.min()))
+                                 spread=float(f.max() - f.min()))
 
 
 def is_invertible(s: SuperOp) -> bool:

@@ -12,7 +12,7 @@ Superoperators follow the column-stacking convention (see superop).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .matrix_core import (
     random_rank_k_projections,
     require_count,
     require_rank,
+    require_seed,
     require_tolerance,
     require_unitary,
     validate_projection,
@@ -41,11 +42,11 @@ from .matrix_core import (
 from .superop import (
     PositivityCertificate,
     SuperOp,
+    _certify_positivity,
     apply,
     is_hermiticity_preserving,
     is_invertible,
     is_unital,
-    positivity_certificate,
     unit_images,
 )
 
@@ -141,13 +142,12 @@ class ClassifyConfig:
             require_count(name, getattr(self, name), least)
         for name in ("unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"):
             require_tolerance(name, getattr(self, name))
+        require_seed(self.seed)
 
     def with_tolerance(self, tol: float) -> "ClassifyConfig":
         """Rescale the whole ladder to a single caller-chosen tolerance."""
-        return ClassifyConfig(samples=self.samples, restarts=self.restarts,
-                              max_iters=self.max_iters, seed=self.seed,
-                              unital_tol=tol, positivity_tol=max(tol, self.positivity_tol),
-                              projection_tol=tol, decomposition_tol=tol)
+        return replace(self, unital_tol=tol, positivity_tol=max(tol, self.positivity_tol),
+                       projection_tol=tol, decomposition_tol=tol)
 
 
 def lemma1_projections(n: int, k: int, basis=None, which: int = 0) -> Lemma1Decomposition:
@@ -203,6 +203,7 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     require_rank(k, n)
     require_count("samples", samples, 0)
     require_tolerance("tol", tol)
+    require_seed(seed)
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
     basis = np.zeros((len(subsets), n, n), dtype=complex)
@@ -315,8 +316,9 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     Checks run cheap to expensive (unital, Hermiticity-preserving,
     positivity, rank-k audit) and all of them run regardless of earlier
     failures, except positivity, which requires a Hermiticity-preserving
-    map. Extraction runs only when every hypothesis passed. Failures are
-    verdicts, not errors.
+    map: it runs on a map that passed the Hermiticity test at unital_tol,
+    without positivity_certificate's own test. Extraction runs only when
+    every hypothesis passed. Failures are verdicts, not errors.
     """
     require_rank(k, s.n)
     cfg = config or ClassifyConfig()
@@ -325,9 +327,8 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     hp = is_hermiticity_preserving(s, cfg.unital_tol)
     cert = None
     if hp:
-        cert = positivity_certificate(s, restarts=cfg.restarts, max_iters=cfg.max_iters,
-                                      tol=cfg.positivity_tol, seed=derive_seed(cfg.seed, 2),
-                                      hermiticity_tol=cfg.unital_tol)
+        cert = _certify_positivity(s, cfg.restarts, cfg.max_iters, cfg.positivity_tol,
+                                   derive_seed(cfg.seed, 2))
     audit = preserves_rank_k(s, k, samples=cfg.samples, tol=cfg.projection_tol,
                              seed=derive_seed(cfg.seed, 3))
 

@@ -102,7 +102,7 @@ class TestInputErrors:
         assert run_cli(capsys, "analyze", str(mapfile), "--k", "0")[0] == 2
 
     @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
-                                       ("--tol", "0"), ("--samples", "-5")])
+                                       ("--tol", "0"), ("--samples", "-5"), ("--seed", "-1")])
     def test_bad_tol_or_samples_exit_two(self, tmp_path, capsys, flags):
         # A true Wigner map: a bad value must not turn into a verdict either way.
         mapfile = tmp_path / "m.json"
@@ -134,6 +134,21 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
         assert code == 2
         assert err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,params", [
+        ("depolarizing", {"lambda": None}),
+        ("perturbed_wigner", {"variant": "direct", "epsilon": [1]}),
+        ("depolarizing", {"lambda": True}),
+        ("pseudo_depolarizing", {"mu": "0.5"})])
+    def test_non_numeric_family_parameter_exit_two(self, tmp_path, capsys, family, params):
+        # Unchecked, null and [1] end in a TypeError traceback, and true and
+        # "0.5" run as the numbers 1.0 and 0.5.
+        out = tmp_path / "x.json"
+        spec = json.dumps({"family": family, "n": 3, "params": params})
+        code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_family_exit_two(self, tmp_path, capsys):

@@ -237,6 +237,27 @@ class TestFamilyRegistry:
             with pytest.raises(BadParameterError):
                 make()
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("depolarizing", "lambda", None), ("depolarizing", "lambda", True),
+        ("pseudo_depolarizing", "mu", "0.5"), ("perturbed_wigner", "epsilon", [1]),
+        ("pseudo_depolarizing", "mu", float("nan")), ("perturbed_wigner", "epsilon", float("inf"))])
+    def test_non_numeric_parameter_rejected(self, name, key, value):
+        with pytest.raises(BadParameterError):
+            build_map(name, 3, {key: value}, 0)
+        with pytest.raises(BadParameterError):
+            expected_flags(name, 3, {key: value}, 1)
+
+    def test_numpy_parameters_accepted(self):
+        np.testing.assert_array_equal(build_map("depolarizing", 3, {"lambda": np.float64(0.5)}).mat,
+                                      depolarizing(3, 0.5).mat)
+        assert expected_flags("pseudo_depolarizing", 2, {"mu": np.int64(1)}, 1).expected["wigner"]
+
+    @pytest.mark.parametrize("seed", [1.5, None, -1, True, (2, -1)])
+    def test_bad_seed_rejected(self, seed):
+        for name, params in (("wigner", {}), ("perturbed_wigner", {"epsilon": 0.1})):
+            with pytest.raises(BadParameterError):
+                build_map(name, 3, params, seed)
+
     def test_missing_parameter(self):
         with pytest.raises(BadParameterError):
             build_map("depolarizing", 3, {}, 0)

@@ -22,7 +22,13 @@ from wignerkit import (
     transpose,
     validate_projection,
 )
-from wignerkit.matrix_core import NOT_A_PROJECTION, NOT_HERMITIAN, projection_ranks
+from wignerkit.matrix_core import (
+    NOT_A_PROJECTION,
+    NOT_HERMITIAN,
+    derive_seed,
+    projection_ranks,
+    require_seed,
+)
 
 
 class TestSpectralDecomp:
@@ -235,3 +241,20 @@ def test_non_integer_rank_or_dimension_rejected(call, value):
     # Unchecked, 1.5 and "2" end in a bare TypeError and True runs as 1.
     with pytest.raises(BadParameterError):
         call(value)
+
+
+class TestRequireSeed:
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), (1, 2), [0, np.uint8(4)], ()])
+    def test_accepted(self, seed):
+        require_seed(seed)
+        assert derive_seed(seed, 5)[-1] == 5
+
+    @pytest.mark.parametrize("seed", [1.5, None, -1, True, "1", np.float64(2.0), (1, -2),
+                                      (1, 2.0), [True], ((1,),)])
+    def test_rejected(self, seed):
+        # Unchecked, numpy raises a bare TypeError or ValueError for most of
+        # these, and takes True as 1.
+        with pytest.raises(BadParameterError):
+            require_seed(seed)
+        with pytest.raises(BadParameterError):
+            derive_seed(seed, 0)

@@ -310,10 +310,11 @@ def test_positivity_pins_mixed_exits(name):
 
 
 def test_positivity_eigensolves_are_stacked(monkeypatch):
-    # Each half-step of all running restarts is one _least_eigs call, so
-    # Choi's map at the default 50 restarts and 500 iterations makes at most
-    # 2 * 500 + 3 of them; restart at a time, its seesaw makes over 20,000.
-    # A count does not depend on the machine's speed.
+    # Each half-step of all running restarts is one _least_eigs call. On
+    # Choi's map some restarts run to the default 500 iterations, so with the
+    # start x0 and the first y-step it makes exactly 2 * 500 + 2 of them;
+    # restart at a time, its seesaw makes over 20,000. A count does not
+    # depend on the machine's speed.
     calls = []
     least_eigs = superop._least_eigs
 
@@ -323,7 +324,7 @@ def test_positivity_eigensolves_are_stacked(monkeypatch):
 
     monkeypatch.setattr(superop, "_least_eigs", counting)
     positivity_certificate(choi_map())
-    assert len(calls) <= 1003
+    assert len(calls) == 1002
 
 
 def ref_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):

@@ -230,23 +230,24 @@ class TestPositivity:
 
     def test_hermiticity_tolerance_is_the_callers(self):
         # phi(E_00) - phi(E_00)* = 2e-9 i E_00: Hermiticity-preserving within
-        # 1e-8, not within the default max(tol, 1e-10) = 1e-9.
+        # max(tol, 1e-10) for tol = 1e-8, not for the default tol = 1e-9.
         s = from_action(2, lambda a: a + 1e-9j * a[0, 0] * _unit(2, 0, 0))
         with pytest.raises(NotHermiticityPreservingError):
             positivity_certificate(s, restarts=2)
-        assert positivity_certificate(s, restarts=2, hermiticity_tol=1e-8).min_value >= -1e-9
+        assert positivity_certificate(s, restarts=2, tol=1e-8).min_value >= -1e-8
 
     def test_requires_a_restart(self):
         with pytest.raises(BadParameterError):
             positivity_certificate(depolarizing(2, 0.5), restarts=0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"tol": float("nan")}, {"tol": -1e-9}, {"hermiticity_tol": float("nan")},
-        {"hermiticity_tol": 0.0}, {"restarts": 2.5}, {"restarts": True},
+        {"tol": float("nan")}, {"tol": -1e-9}, {"seed": 1.5},
+        {"seed": (1, -1)}, {"restarts": 2.5}, {"restarts": True},
         {"max_iters": 2.5}, {"max_iters": -1}])
     def test_bad_parameters_rejected(self, kwargs):
         # A map that is not Hermiticity-preserving: an unchecked NaN
-        # tolerance would let the search run on it.
+        # tolerance would let the search run on it, and every argument is
+        # checked before the map is.
         s = from_choi(ChoiMatrix(2, np.random.default_rng(3).standard_normal((4, 4))))
         with pytest.raises(BadParameterError):
             positivity_certificate(s, **kwargs)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from wignerkit import (
     DegenerateImageError,
     NotWignerLikeError,
     apply,
+    choi_map,
     classify,
     definite_set_check,
     depolarizing,
@@ -19,6 +22,8 @@ from wignerkit import (
     haar_unitary,
     lemma1_projections,
     phase_distance,
+    planted_indefinite,
+    positivity_certificate,
     preserves_rank_k,
     pseudo_depolarizing,
     random_hermitian,
@@ -29,6 +34,7 @@ from wignerkit import (
     vector_state_partner,
     wigner_map,
 )
+from wignerkit.matrix_core import derive_seed
 from wignerkit.superop import SuperOp
 
 
@@ -106,9 +112,11 @@ class TestPreservesRankK:
         with pytest.raises(BadParameterError):
             preserves_rank_k(transpose_superop(3), 1, samples=-5)
 
-    @pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": 0.0}, {"samples": 2.5}])
+    @pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": 0.0}, {"samples": 2.5},
+                                        {"seed": -1}, {"seed": 1.5, "samples": 0}])
     def test_bad_parameters_rejected(self, kwargs):
-        # Unchecked, tol=nan makes a Wigner map fail every projection without an error.
+        # Unchecked, tol=nan makes a Wigner map fail every projection without
+        # an error, and a seed is checked even when no sample uses it.
         with pytest.raises(BadParameterError):
             preserves_rank_k(wigner_map(haar_unitary(4, 2)), 2, **kwargs)
 
@@ -313,6 +321,62 @@ class TestClassify:
         assert rep.hermiticity_preserving
         assert rep.positivity is not None
         assert rep.verdict == "wigner"
+
+    def test_hermiticity_tested_once(self, monkeypatch):
+        # classify tests Hermiticity at unital_tol and hands the map to the
+        # positivity stage, which does not test it again.
+        import wignerkit.superop
+        import wignerkit.wigner
+
+        calls = []
+        test = wignerkit.superop.is_hermiticity_preserving
+
+        def counting(s, tol=1e-10):
+            calls.append(tol)
+            return test(s, tol)
+
+        for module in (wignerkit.superop, wignerkit.wigner):
+            monkeypatch.setattr(module, "is_hermiticity_preserving", counting)
+        for s in (wigner_map(haar_unitary(4, 3)), pseudo_depolarizing(4, 0.6)):
+            calls.clear()
+            rep = classify(s, 2, ClassifyConfig(samples=5, restarts=3))
+            assert rep.hermiticity_preserving and rep.positivity is not None
+            assert calls == [1e-8]
+
+    @pytest.mark.parametrize("make", [
+        lambda: wigner_map(haar_unitary(4, 31), TRANSPOSE),
+        lambda: pseudo_depolarizing(4, 0.6), choi_map, lambda: planted_indefinite(3, 2)],
+        ids=["co-cp", "indefinite", "choi", "planted"])
+    def test_positivity_stage_is_positivity_certificate(self, make):
+        s = make()
+        cfg = ClassifyConfig(seed=5, samples=3, restarts=6, max_iters=40)
+        cert = classify(s, 1, cfg).positivity
+        public = positivity_certificate(s, restarts=6, max_iters=40, tol=cfg.positivity_tol,
+                                        seed=derive_seed(5, 2))
+        assert (cert.min_value, cert.converged, cert.proof, cert.spread) == \
+            (public.min_value, public.converged, public.proof, public.spread)
+        assert np.array_equal(cert.witness, public.witness)
+        assert np.array_equal(cert.iterations, public.iterations)
+
+    @pytest.mark.parametrize("seed", [1.5, None, -1, True, (3, -1), "0"])
+    def test_config_rejects_bad_seed(self, seed):
+        with pytest.raises(BadParameterError):
+            ClassifyConfig(seed=seed)
+
+    def test_config_accepts_tuple_and_numpy_seeds(self):
+        assert ClassifyConfig(seed=(3, 4)).seed == (3, 4)
+        assert ClassifyConfig(seed=np.int64(2)).seed == 2
+
+    def test_with_tolerance_keeps_every_other_field(self):
+        cfg = ClassifyConfig(samples=7, restarts=3, max_iters=11, seed=(4, 5),
+                             positivity_tol=1e-3)
+        scaled = cfg.with_tolerance(1e-4)
+        assert (scaled.unital_tol, scaled.positivity_tol, scaled.projection_tol,
+                scaled.decomposition_tol) == (1e-4, 1e-3, 1e-4, 1e-4)
+        ladder = {"unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"}
+        for f in dataclasses.fields(ClassifyConfig):
+            if f.name not in ladder:
+                assert getattr(scaled, f.name) == getattr(cfg, f.name)
 
     @pytest.mark.parametrize("field,value", [
         ("samples", -5), ("samples", 2.0), ("samples", True), ("samples", "3"),
