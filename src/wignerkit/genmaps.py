@@ -13,7 +13,6 @@ Families (column-stacking superoperators throughout):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .matrix_core import (
     frobenius,
     haar_unitary,
     hermitian_part,
+    is_finite_float,
     random_hermitian,
     random_unit_vector,
     require_count,
@@ -182,7 +182,7 @@ def _require_param(params: dict, key: str) -> float:
         raise BadParameterError(f"family parameter {key!r} is required")
     value = params[key]
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not math.isfinite(value)):
+            or not is_finite_float(value)):
         raise BadParameterError(f"family parameter {key}={value!r} must be a finite real number")
     return float(value)
 

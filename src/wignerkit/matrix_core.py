@@ -52,7 +52,7 @@ def require_rank(k, n: int):
 def require_tolerance(name: str, value):
     """Raise BadParameterError unless value is a finite positive number (booleans are not)."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not (math.isfinite(value) and value > 0)):
+            or not (is_finite_float(value) and value > 0)):
         raise BadParameterError(f"{name}={value} must be finite and positive")
 
 
@@ -195,6 +195,7 @@ def _haar_unitaries(n: int, seeds) -> np.ndarray:
     require_count("n", n, 1)
     g = np.empty((len(seeds), 2, n, n))
     for t, seed in enumerate(seeds):
+        require_seed(seed)
         np.random.default_rng(seed).standard_normal(out=g[t])
     z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -249,6 +250,7 @@ def random_rank_k_projection(n: int, k: int, seed=0,
 def random_hermitian(n: int, seed=0) -> np.ndarray:
     """GUE-style random Hermitian matrix with O(1) entries."""
     require_count("n", n, 1)
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_part(z / np.sqrt(2.0))
@@ -257,9 +259,19 @@ def random_hermitian(n: int, seed=0) -> np.ndarray:
 def random_unit_vector(n: int, seed=0) -> np.ndarray:
     """Uniform random unit vector in C^n."""
     require_count("n", n, 1)
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return x / np.linalg.norm(x)
+
+
+def is_finite_float(x) -> bool:
+    """math.isfinite(x), but False where x is an int beyond the float range,
+    for which math.isfinite raises OverflowError."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def require_seed(seed):

@@ -17,20 +17,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from itertools import chain
 
 import numpy as np
 
 from .errors import SerializationError
+from .matrix_core import is_finite_float
 from .superop import CONVENTION, ChoiMatrix, SuperOp, from_choi, to_choi
 from .wigner import AnalysisReport
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    return {
-        "n": int(m.shape[0]),
-        "data": [[[float(x.real), float(x.imag)] for x in row] for row in m],
-    }
+    return {"n": int(m.shape[0]), "data": np.stack([m.real, m.imag], axis=-1).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -42,19 +42,31 @@ def matrix_from_json(obj) -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != n:
         raise SerializationError(f"matrix data must have {n} rows")
-    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
             raise SerializationError(f"row {i} must have {n} entries")
-        for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(type(x) in (int, float) for x in entry)):
-                raise SerializationError(f"entry ({i}, {j}) must be a [re, im] pair")
-            re, im = float(entry[0]), float(entry[1])
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise SerializationError(f"entry ({i}, {j}) is not finite")
-            out[i, j] = complex(re, im)
-    return out
+    # Entry t of `entries` is (t // n, t % n); value v of `values` is entry v // 2.
+    entries = list(chain.from_iterable(data))
+    pairs = (all(issubclass(t, list) for t in set(map(type, entries)))
+             and set(map(len, entries)) == {2})
+    values = list(chain.from_iterable(entries)) if pairs else []
+    if not pairs or not set(map(type, values)) <= {int, float}:
+        t = next(t for t, e in enumerate(entries) if not _is_pair(e))
+        raise SerializationError(f"entry {divmod(t, n)} must be a [re, im] pair")
+    try:
+        flat = np.array(values, dtype=float)
+        finite = np.isfinite(flat).all()
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        v = next(v for v, x in enumerate(values) if not is_finite_float(x))
+        raise SerializationError(f"entry {divmod(v // 2, n)} is not a finite float")
+    return flat.view(complex).reshape(n, n)
+
+
+def _is_pair(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(type(x) in (int, float) for x in entry))
 
 
 def superop_to_json(s: SuperOp, repr_tag: str = "superop") -> dict:
@@ -146,6 +158,68 @@ def family_spec_from_json(obj) -> tuple[str, int, dict, int | None]:
     return family, n, params, seed
 
 
+# json.dumps writes the placeholder "\x00<i>" for block i as "\u0000<i>".
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
 def dumps(obj) -> str:
-    """Stable JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Stable JSON text: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte json.dumps(obj, indent=2, sort_keys=True) + "\\n". With an
+    indent, json encodes in pure Python, so each matrix-JSON "data" block of
+    finite floats is formatted here, one row at a time, and spliced into the
+    json.dumps text of the rest in place of a placeholder string.
+    """
+    blocks = []
+    pieces = _PLACEHOLDER.split(json.dumps(_set_aside(obj, 0, blocks), indent=2, sort_keys=True))
+    if len(pieces) != 2 * len(blocks) + 1:  # a string in obj holds a NUL and renders alike
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    out = []
+    for t, piece in enumerate(pieces):
+        out.extend(blocks[int(piece)] if t % 2 else (piece,))
+    out.append("\n")
+    return "".join(out)
+
+
+def _set_aside(value, level: int, blocks: list):
+    """Copy of value, found at nesting depth `level`, with each matrix block
+    _format_block can write replaced by a placeholder; blocks gets its text."""
+    if isinstance(value, list):
+        return [_set_aside(v, level + 1, blocks) for v in value]
+    if not isinstance(value, dict):
+        return value
+    out = {}
+    for key, v in value.items():
+        block = None
+        if key == "data" and type(value.get("n")) is int:
+            block = _format_block(v, 2 * level + 2)
+        if block is None:
+            out[key] = _set_aside(v, level + 1, blocks)
+        else:
+            out[key] = f"\x00{len(blocks)}"
+            blocks.append(block)
+    return out
+
+
+def _format_block(data, indent: int) -> list[str] | None:
+    """json.dumps(data, indent=2) as pieces, for a value whose key is indented
+    by `indent` spaces; None unless data is a square list of [re, im] pairs
+    of finite floats."""
+    if not isinstance(data, list) or not data:
+        return None
+    n = len(data)
+    row, entry, part = ("\n" + " " * (indent + d) for d in (2, 4, 6))
+    pair = f"[{part}%r,{part}%r{entry}]"
+    template = f"%s[{entry}" + f",{entry}".join([pair] * n) + f"{row}]"
+    pieces = []
+    for r in data:
+        if not (isinstance(r, list) and len(r) == n
+                and all(issubclass(t, list) for t in set(map(type, r)))
+                and set(map(len, r)) == {2}):
+            return None
+        values = list(chain.from_iterable(r))
+        if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
+            return None
+        pieces.append(template % (f",{row}" if pieces else f"[{row}", *values))
+    pieces.append("\n" + " " * indent + "]")
+    return pieces

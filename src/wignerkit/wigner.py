@@ -122,11 +122,13 @@ class AnalysisReport:
     reasons: list[str]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifyConfig:
     """Knobs for classify. The tolerance ladder separates float noise from
     model violation: projection validation 1e-8, decomposition acceptance
-    1e-6, certified-pass reporting 1e-9."""
+    1e-6, certified-pass reporting 1e-9. Frozen, so every field has passed
+    __post_init__'s checks; with_tolerance and dataclasses.replace make
+    changed copies."""
 
     samples: int = 100
     restarts: int = 50

@@ -151,6 +151,27 @@ class TestInputErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    def test_huge_integer_entry_exit_two(self, tmp_path, capsys):
+        # Unchecked, converting a 400-digit integer to a float raises an
+        # OverflowError, which the CLI does not catch.
+        mapfile = tmp_path / "m.json"
+        spec = json.dumps({"family": "depolarizing", "n": 2, "params": {"lambda": 0.5}})
+        run_cli(capsys, "generate", "--spec", spec, "--out", str(mapfile))
+        obj = json.loads(mapfile.read_text())
+        obj["data"]["data"][3][1][0] = 10**400
+        mapfile.write_text(json.dumps(obj))
+        code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "1")
+        assert code == 2
+        assert stdout == "" and err.startswith("error: entry (3, 1)")
+
+    def test_huge_integer_family_parameter_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        spec = '{"family": "depolarizing", "n": 2, "params": {"lambda": 1%s}}' % ("0" * 400)
+        code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: family parameter lambda=") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_family_exit_two(self, tmp_path, capsys):
         spec = json.dumps({"family": "kraus", "n": 2})
         code, _, err = run_cli(capsys, "generate", "--spec", spec,

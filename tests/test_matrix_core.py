@@ -243,6 +243,22 @@ def test_non_integer_rank_or_dimension_rejected(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, -1])
+@pytest.mark.parametrize("call", [
+    lambda s: haar_unitary(3, s),
+    lambda s: random_rank_k_projection(3, 1, s),
+    lambda s: random_rank_k_projections(3, 1, [0, s]),
+    lambda s: random_hermitian(3, s),
+    lambda s: random_unit_vector(3, s),
+], ids=["haar_unitary", "random_rank_k_projection", "random_rank_k_projections",
+        "random_hermitian", "random_unit_vector"])
+def test_sampler_seed_rejected(call, seed):
+    # Unchecked, None draws from OS entropy, True runs as 1, and 1.5 and -1
+    # end in a bare TypeError or ValueError.
+    with pytest.raises(BadParameterError):
+        call(seed)
+
+
 class TestRequireSeed:
     @pytest.mark.parametrize("seed", [0, 7, np.int64(3), (1, 2), [0, np.uint8(4)], ()])
     def test_accepted(self, seed):

@@ -1,18 +1,24 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerkit import (
+    FAMILIES,
     ClassifyConfig,
     SerializationError,
     apply,
+    build_map,
     classify,
     depolarizing,
     haar_unitary,
     to_choi,
     wigner_map,
 )
+from wignerkit.cli import main
 from wignerkit.serialize import (
     dumps,
     family_spec_from_json,
@@ -22,6 +28,27 @@ from wignerkit.serialize import (
     superop_from_json,
     superop_to_json,
 )
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+def reference_dumps(obj) -> str:
+    """The wire format dumps must reproduce byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def ref_matrix_from_json(obj) -> np.ndarray:
+    """The per-entry loop matrix_from_json replaced, for valid payloads."""
+    out = np.zeros((obj["n"], obj["n"]), dtype=complex)
+    for i, row in enumerate(obj["data"]):
+        for j, (re, im) in enumerate(row):
+            out[i, j] = complex(float(re), float(im))
+    return out
+
+
+def bits(m: np.ndarray) -> np.ndarray:
+    # Compares -0.0 and 0.0 as different, which array_equal does not.
+    return np.ascontiguousarray(m, dtype=complex).view(np.uint64)
 
 
 class TestMatrixJson:
@@ -43,6 +70,34 @@ class TestMatrixJson:
         bad = {"n": 1, "data": [[[float("inf"), 0.0]]]}
         with pytest.raises(SerializationError):
             matrix_from_json(bad)
+
+    def test_integer_entries_read_as_floats(self):
+        m = matrix_from_json({"n": 2, "data": [[[1, 0], [0.5, -2]], [[0, 0], [2**60 + 1, 3]]]})
+        np.testing.assert_array_equal(m, [[1, 0.5 - 2j], [0, float(2**60 + 1) + 3j]])
+        assert m.dtype == complex
+
+    @pytest.mark.parametrize("entry,message", [
+        ([10**400, 0.0], "entry (1, 0) is not a finite float"),
+        ([0.0, -(10**309)], "entry (1, 0) is not a finite float"),
+        ([float("nan"), 0.0], "entry (1, 0) is not a finite float"),
+        ([0.0, float("-inf")], "entry (1, 0) is not a finite float"),
+        ([0.0, True], "entry (1, 0) must be a [re, im] pair"),
+        ([0.0], "entry (1, 0) must be a [re, im] pair"),
+        ([0.0, 1.0, 2.0], "entry (1, 0) must be a [re, im] pair"),
+        ("0.0", "entry (1, 0) must be a [re, im] pair"),
+        (0.0, "entry (1, 0) must be a [re, im] pair"),
+    ])
+    def test_bad_entry_named(self, entry, message):
+        data = [[[0.0, 0.0], [1.0, 0.0]], [entry, [2.0, 0.0]]]
+        with pytest.raises(SerializationError) as err:
+            matrix_from_json({"n": 2, "data": data})
+        assert str(err.value).startswith(message)
+
+    def test_bad_row_named(self):
+        with pytest.raises(SerializationError, match="row 1 must have 2 entries"):
+            matrix_from_json({"n": 2, "data": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]]})
+        with pytest.raises(SerializationError, match="row 0 must have 2 entries"):
+            matrix_from_json({"n": 2, "data": [{"a": 1, "b": 2}, [[0.0, 0.0], [1.0, 0.0]]]})
 
 
     def test_booleans_rejected(self):
@@ -153,3 +208,139 @@ class TestDumps:
         s = depolarizing(2, 0.25)
         assert dumps(superop_to_json(s)) == dumps(superop_to_json(depolarizing(2, 0.25)))
         assert dumps({"b": 1, "a": 2}).index('"a"') < dumps({"b": 1, "a": 2}).index('"b"')
+
+    @pytest.mark.parametrize("repr_tag", ["superop", "choi"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_map_files_match_reference(self, family, n, repr_tag):
+        params = {"wigner": {"variant": "transpose"}, "depolarizing": {"lambda": 0.3},
+                  "pseudo_depolarizing": {"mu": 0.7},
+                  "perturbed_wigner": {"epsilon": 1e-3}}[family]
+        obj = superop_to_json(build_map(family, n, params, seed=n), repr_tag)
+        assert dumps(obj) == reference_dumps(obj)
+
+    @pytest.mark.parametrize("s,verdict", [
+        (wigner_map(haar_unitary(4, 8), "transpose"), "wigner"),
+        (depolarizing(4, 0.5), "not_wigner"),
+    ])
+    def test_reports_match_reference(self, s, verdict):
+        obj = report_to_json(classify(s, 2, ClassifyConfig(samples=10, seed=3)))
+        assert obj["verdict"] == verdict
+        assert dumps(obj) == reference_dumps(obj)
+
+    def test_lemma_output_matches_reference(self, capsys):
+        assert main(["lemma", "--n", "5", "--k", "3", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        obj = json.loads(out)
+        assert len(obj["projections"]) == 4
+        assert out == reference_dumps(obj) == dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 2, "data": [[[1, 0.5], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        {"n": 1, "data": [[[True, 0.0]]]},
+        {"n": 1, "data": [[[float("nan"), 0.0]]]},
+        {"n": 1, "data": [[[0.0, float("inf")]]]},
+        {"n": 1, "data": [[[float("-inf"), 1.0]]]},
+        {"n": 2, "data": [[[-0.0, 0.0], [5e-324, -1e308]], [[1e-7, 1e16], [-0.0, 0.1]]]},
+        {"n": 2, "data": [[[0.0, 0.0], [1.0, 0.0]]]},
+        {"n": 2, "data": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]]},
+        {"n": 1, "data": [[[0.0, 0.0, 0.0]]]},
+        {"n": 1, "data": [[(0.0, 1.0)]]},
+        {"n": 0, "data": []},
+        {"n": True, "data": [[[0.5, 0.0]]]},
+        {"data": [[[0.5, 0.0]]]},
+        {"n": 1, "data": [[[np.float64(0.5), 0.0]]]},
+        {"outer": [{"n": 1, "data": [[[0.25, -0.0]]]},
+                   {"inner": {"n": 2, "data": [[[1.0, 2.0], [3.0, 4.0]],
+                                               [[5.0, 6.0], [7.0, 8.0]]]}}],
+         "z": {"n": 1, "data": [[[1.5, 2.5]]], "note": "x"},
+         "a": {"n": 1, "data": [[[3.5, 4.5]]]}},
+        [{"n": 1, "data": [[[0.5, 0.5]]]}, [{"n": 1, "data": [[[1.0, 1.0]]]}]],
+        {"n": 1, "data": [[[0.5, 0.0]]], "name": "\x000", "\x001": 2},
+        {"n": 1, "data": [[[0.5, 0.0]]], "name": "\\u00000"},
+    ], ids=["ints", "bool", "nan", "inf", "-inf", "-0.0 and extremes", "too few rows",
+            "ragged", "triple", "tuple pair", "empty", "bool n", "no n", "numpy float",
+            "nested", "top-level list", "NUL strings", "escaped backslash"])
+    def test_odd_values_match_reference(self, obj):
+        assert dumps(obj) == reference_dumps(obj)
+
+    def test_memory_stays_near_text_size(self):
+        # Formatting a row at a time keeps the peak under 4x the text; the
+        # json.dumps indenting encoder alone peaks at about 5.4x.
+        s = wigner_map(haar_unitary(16, 1))
+        tracemalloc.start()
+        try:
+            text = dumps(superop_to_json(s))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+huge_int = st.integers(309, 500).flatmap(
+    lambda d: st.sampled_from([10**d, -(10**d)]))
+
+
+@st.composite
+def finite_matrices(draw):
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(finite, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(values).view(complex).reshape(n, n)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(finite_matrices())
+    def test_round_trip_bit_exact(self, m):
+        obj = matrix_to_json(m)
+        text = dumps(obj)
+        assert text == reference_dumps(obj)
+        np.testing.assert_array_equal(bits(matrix_from_json(json.loads(text))), bits(m))
+
+    @PROPERTY
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.lists(finite | st.integers(-(2**80), 2**80), min_size=2, max_size=2),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_reader_matches_entry_loop(self, data):
+        obj = {"n": len(data), "data": data}
+        np.testing.assert_array_equal(bits(matrix_from_json(obj)), bits(ref_matrix_from_json(obj)))
+
+    @PROPERTY
+    @given(finite_matrices(), st.data())
+    def test_malformed_entries_rejected(self, m, data):
+        obj = json.loads(dumps(matrix_to_json(m)))
+        n = obj["n"]
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        part = data.draw(st.integers(0, 1))
+        row = obj["data"][i]
+        fault = data.draw(st.sampled_from(
+            ["bool", "string", "null", "non-finite", "huge int", "short row", "long row",
+             "short pair", "long pair", "scalar entry", "object row"]))
+        if fault == "bool":
+            row[j][part] = data.draw(st.booleans())
+        elif fault == "string":
+            row[j][part] = data.draw(st.text(max_size=3))
+        elif fault == "null":
+            row[j][part] = None
+        elif fault == "non-finite":
+            row[j][part] = data.draw(non_finite)
+        elif fault == "huge int":
+            row[j][part] = data.draw(huge_int)
+        elif fault == "short row":
+            del row[j]
+        elif fault == "long row":
+            row.append([0.0, 0.0])
+        elif fault == "short pair":
+            del row[j][part]
+        elif fault == "long pair":
+            row[j].append(0.0)
+        elif fault == "scalar entry":
+            row[j] = row[j][part]
+        else:
+            obj["data"][i] = {str(t): e for t, e in enumerate(row)}
+        with pytest.raises(SerializationError):
+            matrix_from_json(obj)
+        with pytest.raises(SerializationError):
+            matrix_from_json(json.loads(dumps(obj)))

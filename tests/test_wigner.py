@@ -386,11 +386,18 @@ class TestClassify:
         with pytest.raises(BadParameterError):
             ClassifyConfig(**{field: value})
 
+    def test_config_is_frozen(self):
+        # A field set after construction would skip __post_init__'s checks.
+        cfg = ClassifyConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.samples = -5
+        assert cfg.samples == 100
+
     def test_config_accepts_least_counts(self):
         cfg = ClassifyConfig(samples=0, restarts=1, max_iters=np.int64(0))
         assert (cfg.samples, cfg.restarts, cfg.max_iters) == (0, 1, 0)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 10**400])
     def test_config_rejects_bad_tolerance(self, tol):
         with pytest.raises(BadParameterError):
             ClassifyConfig(projection_tol=tol)
