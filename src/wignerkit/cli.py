@@ -14,9 +14,9 @@ import os
 import sys
 
 from . import selftest
-from .errors import WignerkitError
+from .errors import BadParameterError, WignerkitError
 from .genmaps import build_map
-from .matrix_core import haar_unitary
+from .matrix_core import MAX_DIMENSION, haar_unitary
 from .serialize import (
     dumps,
     family_spec_from_json,
@@ -97,6 +97,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    if args.n > MAX_DIMENSION:
+        raise BadParameterError(f"--n={args.n} must be at most {MAX_DIMENSION}")
     basis = None if args.seed is None else haar_unitary(args.n, args.seed)
     dec = lemma1_projections(args.n, args.k, basis)
     payload = {

@@ -32,6 +32,10 @@ HERMITIAN_RTOL = 1e-10
 # ||U*U - I||_F <= UNITARY_TOL * n for a certified unitary.
 UNITARY_TOL = 1e-12
 
+# The largest n the CLI generates a map or a decomposition for: dense n^2-by-n^2
+# superoperators take 268 MB at n = 64.
+MAX_DIMENSION = 64
+
 
 def require_count(name: str, value, least: int | None = None):
     """Raise BadParameterError unless value is an integer (booleans are not),

@@ -47,6 +47,17 @@ def _timed(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
     return CriterionResult(name, passed, detail, time.perf_counter() - t0)
 
 
+def _wigner_trial(tag: int, t: int, n_max: int):
+    # Trial t of the criterion seeded by tag: (n, k, variant, U, map) with
+    # 2 <= n <= n_max, 1 <= k < n and a Haar-random U.
+    rng = np.random.default_rng((tag, t))
+    n = int(rng.integers(2, n_max + 1))
+    k = int(rng.integers(1, n))
+    variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
+    u = haar_unitary(n, (tag, t, 1))
+    return n, k, variant, u, wigner_map(u, variant)
+
+
 def lemma1_identity(full: bool = True) -> CriterionResult:
     """Rank-1 recovery from k+1 rank-k projections: residual <= 1e-12."""
     t0 = time.perf_counter()
@@ -72,12 +83,8 @@ def classification_round_trip(full: bool = True) -> CriterionResult:
     failures = 0
     worst_res, worst_u = 0.0, 0.0
     for t in range(trials):
-        rng = np.random.default_rng((20, t))
-        n = int(rng.integers(2, n_max + 1))
-        k = int(rng.integers(1, n))
-        variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
-        u = haar_unitary(n, (20, t, 1))
-        rep = classify(wigner_map(u, variant), k, ClassifyConfig(seed=t))
+        n, k, variant, u, s = _wigner_trial(20, t, n_max)
+        rep = classify(s, k, ClassifyConfig(seed=t))
         ok = rep.verdict == "wigner" and rep.form is not None and rep.form.variant == variant
         if ok:
             worst_res = max(worst_res, rep.form.residual)
@@ -118,11 +125,7 @@ def variant_discriminator(full: bool = True) -> CriterionResult:
     t0 = time.perf_counter()
     failures = 0
     for t in range(100):
-        rng = np.random.default_rng((40, t))
-        n = int(rng.integers(2, 9))
-        k = int(rng.integers(1, n))
-        variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
-        s = wigner_map(haar_unitary(n, (40, t, 1)), variant)
+        _, k, _, _, s = _wigner_trial(40, t, 8)
         rep = classify(s, k, ClassifyConfig(samples=40, seed=4000 + t))
         lam = float(np.linalg.eigvalsh(hermitian_part(to_choi(s).mat))[0])
         if rep.verdict != "wigner":
@@ -141,11 +144,7 @@ def vector_state_transfer(full: bool = True) -> CriterionResult:
     worst = 0.0
     failures = 0
     for t in range(100):
-        rng = np.random.default_rng((50, t))
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(1, n))
-        variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
-        s = wigner_map(haar_unitary(n, (50, t, 1)), variant)
+        n, k, _, _, s = _wigner_trial(50, t, 6)
         rep = classify(s, k, ClassifyConfig(samples=40, seed=5000 + t))
         if rep.verdict != "wigner":
             failures += 1
@@ -168,11 +167,7 @@ def definite_set_identity(full: bool = True) -> CriterionResult:
     worst = 0.0
     failures = 0
     for t in range(100):
-        rng = np.random.default_rng((60, t))
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(1, n))
-        variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
-        s = wigner_map(haar_unitary(n, (60, t, 1)), variant)
+        n, k, _, _, s = _wigner_trial(60, t, 6)
         rep = classify(s, k, ClassifyConfig(samples=40, seed=6000 + t))
         if rep.verdict != "wigner":
             failures += 1

@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SerializationError
-from .matrix_core import is_finite_float
+from .matrix_core import MAX_DIMENSION, is_finite_float
 from .superop import CONVENTION, ChoiMatrix, SuperOp, from_choi, to_choi
 from .wigner import AnalysisReport
 
@@ -147,8 +147,8 @@ def family_spec_from_json(obj) -> tuple[str, int, dict, int | None]:
     n = obj["n"]
     if not isinstance(family, str):
         raise SerializationError("family must be a string")
-    if type(n) is not int or n < 1:
-        raise SerializationError(f"n must be a positive integer, got {n!r}")
+    if type(n) is not int or not 1 <= n <= MAX_DIMENSION:
+        raise SerializationError(f"n must be an integer in 1..{MAX_DIMENSION}, got {n!r}")
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise SerializationError("params must be an object")

@@ -39,6 +39,17 @@ CONVENTION = "column-stacking"
 COND_LIMIT = 1e12
 
 
+def _require_map_matrix(n, mat, label: str) -> np.ndarray:
+    # The checks SuperOp and ChoiMatrix share; returns mat as a complex array.
+    require_count("n", n, 1)
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (n * n, n * n):
+        raise DimensionMismatchError(f"{label} for n={n} must be {n**2}x{n**2}, got {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise NonFiniteError(f"{label} contains NaN or infinite entries")
+    return mat
+
+
 @dataclass
 class SuperOp:
     """A linear map on n-by-n matrices, stored as its n^2-by-n^2 matrix."""
@@ -47,14 +58,7 @@ class SuperOp:
     mat: np.ndarray
 
     def __post_init__(self):
-        require_count("n", self.n, 1)
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.shape != (self.n * self.n, self.n * self.n):
-            raise DimensionMismatchError(
-                f"superoperator for n={self.n} must be {self.n**2}x{self.n**2}, "
-                f"got {self.mat.shape}")
-        if not np.all(np.isfinite(self.mat)):
-            raise NonFiniteError("superoperator contains NaN or infinite entries")
+        self.mat = _require_map_matrix(self.n, self.mat, "superoperator")
 
 
 @dataclass
@@ -65,14 +69,7 @@ class ChoiMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        require_count("n", self.n, 1)
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.shape != (self.n * self.n, self.n * self.n):
-            raise DimensionMismatchError(
-                f"Choi matrix for n={self.n} must be {self.n**2}x{self.n**2}, "
-                f"got {self.mat.shape}")
-        if not np.all(np.isfinite(self.mat)):
-            raise NonFiniteError("Choi matrix contains NaN or infinite entries")
+        self.mat = _require_map_matrix(self.n, self.mat, "Choi matrix")
 
 
 @dataclass

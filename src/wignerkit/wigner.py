@@ -241,11 +241,10 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
 
 
 def _fix_phase(u: np.ndarray) -> np.ndarray:
+    # u is unitary, so its first column has an entry of modulus at least
+    # 1/sqrt(n), far above PHASE_GAUGE_EPS.
     col = u[:, 0]
-    idx = np.flatnonzero(np.abs(col) > PHASE_GAUGE_EPS)
-    if idx.size == 0:
-        return u
-    z = col[idx[0]]
+    z = col[np.flatnonzero(np.abs(col) > PHASE_GAUGE_EPS)[0]]
     return u * (z.conjugate() / abs(z))
 
 
@@ -254,11 +253,13 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
 
     Writes F_ij = phi(E_ij). For a direct map F_ij = u_i u_j* with u_i the
     columns of U, so u_1 is the top eigenvector of F_11 and F_j1 u_1
-    reproduces u_j (all with one shared phase); a transpose map swaps the
-    roles of F_j1 and F_1j. Both candidate matrices are projected to the
-    nearest unitary, gauged by the first-nonzero-entry-positive convention,
-    and scored by the worst model deviation over all matrix units; the
-    better variant wins.
+    reproduces u_j (all with one shared phase). The candidate matrix is
+    projected to the nearest unitary, gauged by the
+    first-nonzero-entry-positive convention, and scored by the worst model
+    deviation over all matrix units. The transpose variant of phi is the
+    direct variant of phi o T, whose matrix-unit images
+    (phi o T)(E_ij) = F_ji are the same blocks with i and j swapped, so one
+    fit serves both; the better variant wins.
 
     Raises DegenerateImageError when phi(E_11) is not numerically rank 1,
     NotWignerLikeError when both residuals exceed tol.
@@ -276,24 +277,17 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
             f"phi(E_11) has second eigenvalue {w[-2]:.3e}; image is not rank 1")
     u1 = v[:, -1]
 
-    def candidate(images: np.ndarray) -> np.ndarray:
-        # Column j is images[j] u1 (F_j1 u1 or F_1j u1); column 0 is u1 itself.
-        cols = images @ u1
+    def fit(images: np.ndarray) -> tuple[np.ndarray, float]:
+        # The direct model a -> U a U* fitted to images[i, j] = image of E_ij:
+        # column j of U is images[j, 0] u1, column 0 is u1 itself.
+        cols = images[:, 0] @ u1
         cols[0] = u1
-        return _fix_phase(_polar_unitary(cols.T))
-
-    u_direct = candidate(units[:, 0])
-    u_transp = candidate(units[0])
-
-    def residual(u: np.ndarray, transpose_variant: bool) -> float:
-        # Model image of E_ij: u_i u_j* (direct) or u_j u_i* (transpose).
+        u = _fix_phase(_polar_unitary(cols.T))
         model = u.T[:, None, :, None] * u.conj().T[None, :, None, :]
-        if transpose_variant:
-            model = model.transpose(1, 0, 2, 3)
-        return float(np.linalg.norm(units - model, axis=(2, 3)).max())
+        return u, float(np.linalg.norm(images - model, axis=(2, 3)).max())
 
-    res_d = residual(u_direct, False)
-    res_t = residual(u_transp, True)
+    u_direct, res_d = fit(units)
+    u_transp, res_t = fit(units.swapaxes(0, 1))
     if min(res_d, res_t) > tol:
         raise NotWignerLikeError(
             f"no conjugation model within {tol:.1e} (direct {res_d:.3e}, transpose {res_t:.3e})")
@@ -341,7 +335,7 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
         reasons.append("hermiticity_violation")
     if hp and cert.min_value < -cfg.positivity_tol:
         reasons.append("positivity_violation")
-    if not (audit.pass_fraction == 1.0 and audit.inverse_pass):
+    if not audit.inverse_pass:
         reasons.append("rank_k_violation")
 
     form = None

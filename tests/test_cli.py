@@ -1,15 +1,30 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wignerkit import FAMILIES, depolarizing, haar_unitary, pseudo_depolarizing, wigner_map
 from wignerkit.cli import main
+from wignerkit.serialize import dumps, superop_to_json
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    # main's exit code, with argparse's SystemExit read as its code; output is dropped.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(list(argv))
+        except SystemExit as exc:
+            return exc.code
 
 
 class TestGenerateAnalyze:
@@ -172,6 +187,16 @@ class TestInputErrors:
         assert err.startswith("error: family parameter lambda=") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [65, 10**6])
+    def test_dimension_above_ceiling_exit_two(self, tmp_path, capsys, n):
+        # Unchecked, n = 10**6 ends in a MemoryError traceback from the Haar draw.
+        out = tmp_path / "x.json"
+        spec = json.dumps({"family": "wigner", "n": n})
+        code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: n must be an integer in 1..64") and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_family_exit_two(self, tmp_path, capsys):
         spec = json.dumps({"family": "kraus", "n": 2})
         code, _, err = run_cli(capsys, "generate", "--spec", spec,
@@ -207,6 +232,12 @@ class TestLemma:
 
     def test_bad_rank_exit_two(self, capsys):
         assert run_cli(capsys, "lemma", "--n", "3", "--k", "3")[0] == 2
+
+    @pytest.mark.parametrize("n", ["65", "1000000"])
+    def test_dimension_above_ceiling_exit_two(self, capsys, n):
+        code, stdout, err = run_cli(capsys, "lemma", "--n", n, "--k", "1")
+        assert code == 2
+        assert stdout == "" and err.startswith("error: --n=") and "Traceback" not in err
 
 
 class TestSeedEnv:
@@ -262,3 +293,76 @@ class TestSelftest:
         assert code == 0
         assert "lemma1_identity" in stdout
         assert "PASS" in stdout and "FAIL" not in stdout
+
+
+# Any JSON value but an integer, so that no drawn n is a large valid dimension.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+numbers = st.floats() | st.integers(-3, 3) | st.sampled_from([10**400, -(10**400)])
+valid_specs = st.fixed_dictionaries({
+    "family": st.sampled_from(FAMILIES),
+    "n": st.integers(1, 6),
+    "params": st.fixed_dictionaries({
+        "variant": st.sampled_from(["direct", "transpose"]), "lambda": st.floats(0, 1),
+        "mu": st.floats(0, 10), "epsilon": st.floats(-1, 1)}),
+    "seed": st.integers(0, 2**70)})
+# One field of a valid spec at a time is replaced or dropped. Valid dimensions
+# stay at most 6; the ceiling cases are the only larger ones.
+spec_faults = {
+    "family": st.text(max_size=5) | json_values,
+    "n": st.integers(-1, 0) | st.sampled_from([65, 10**6, 2**70]) | json_values,
+    "params": json_values,
+    "seed": st.integers(max_value=-1) | json_values,
+}
+
+
+@pytest.fixture(scope="module")
+def map_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("maps")
+    paths = []
+    for name, s in [("wigner", wigner_map(haar_unitary(3, 5), "transpose")),
+                    ("depolarizing", depolarizing(3, 0.5)),
+                    ("pseudo", pseudo_depolarizing(3, 1.0))]:
+        paths.append(root / f"{name}.json")
+        paths[-1].write_text(dumps(superop_to_json(s)))
+    return paths
+
+
+class TestProperties:
+    # Any input gives a result or exit 2, never a traceback.
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(valid_specs, st.data())
+    def test_generate_any_spec(self, tmp_path_factory, spec, data):
+        fault = data.draw(st.sampled_from([None, "drop", "param", *spec_faults]))
+        if fault == "drop":
+            del spec[data.draw(st.sampled_from(sorted(spec)))]
+        elif fault == "param":
+            spec["params"][data.draw(st.sampled_from(sorted(spec["params"])))] = data.draw(
+                numbers | json_values)
+        elif fault is not None:
+            spec[fault] = data.draw(spec_faults[fault])
+        out = tmp_path_factory.getbasetemp() / "generated.json"
+        out.unlink(missing_ok=True)
+        code = run_quiet("generate", "--spec", json.dumps(spec), "--out", str(out))
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+        if fault is None:
+            assert code == 0
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(0, 2), st.integers(0, 50), st.data())
+    def test_analyze_any_flags(self, map_files, which, samples, data):
+        flags = {"--k": st.integers(1, 2).map(str),
+                 "--seed": st.integers(0, 2**70).map(str),
+                 "--tol": st.floats(1e-12, 1e-2).map(repr)}
+        spoiled = data.draw(st.sampled_from([None, *flags]))
+        if spoiled is not None:
+            flags[spoiled] = (st.integers(-2, 4) | st.floats()).map(repr) | st.text(max_size=3)
+        argv = ["analyze", str(map_files[which]), "--samples", str(samples)]
+        for flag, values in flags.items():
+            if flag == "--k" or data.draw(st.booleans()):
+                argv += [flag, data.draw(values)]
+        assert run_quiet(*argv) in (0, 1, 2)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerkit import (
+    CONVENTION,
     FAMILIES,
     ClassifyConfig,
     SerializationError,
+    SuperOp,
     apply,
     build_map,
     classify,
@@ -188,6 +190,9 @@ class TestFamilySpec:
         family, n, params, seed = family_spec_from_json({"family": "depolarizing", "n": 2})
         assert params == {} and seed is None
 
+    def test_largest_dimension_accepted(self):
+        assert family_spec_from_json({"family": "wigner", "n": 64})[1] == 64
+
     @pytest.mark.parametrize("bad", [
         {"n": 3},
         {"family": "wigner"},
@@ -197,6 +202,8 @@ class TestFamilySpec:
         [],
         {"family": "wigner", "n": True},
         {"family": "wigner", "n": 3, "seed": False},
+        {"family": "wigner", "n": 65},
+        {"family": "wigner", "n": 10**6},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(SerializationError):
@@ -283,6 +290,14 @@ huge_int = st.integers(309, 500).flatmap(
     lambda d: st.sampled_from([10**d, -(10**d)]))
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=5)
+MISSING = object()
+
+
 @st.composite
 def finite_matrices(draw):
     n = draw(st.integers(1, 5))
@@ -344,3 +359,32 @@ class TestProperties:
             matrix_from_json(obj)
         with pytest.raises(SerializationError):
             matrix_from_json(json.loads(dumps(obj)))
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(finite, min_size=2 * n**4, max_size=2 * n**4))),
+        st.sampled_from(["superop", "choi"]))
+    def test_superop_file_round_trip_bit_exact(self, drawn, repr_tag):
+        n, values = drawn
+        s = SuperOp(n, np.array(values).view(complex).reshape(n * n, n * n))
+        again = superop_from_json(json.loads(dumps(superop_to_json(s, repr_tag))))
+        assert again.n == n
+        np.testing.assert_array_equal(bits(again.mat), bits(s.mat))
+
+    @PROPERTY
+    @given(st.sampled_from(["superop", "choi"]), st.one_of(
+        # Every int but 2 is zero, negative or a mismatch.
+        st.tuples(st.just("n"), st.booleans() | finite | st.text(max_size=3)
+                  | st.integers().filter(lambda v: v != 2)),
+        st.tuples(st.just("convention"), json_values.filter(lambda v: v != CONVENTION)),
+        st.tuples(st.just("repr"), json_values.filter(lambda v: v not in ("superop", "choi"))),
+        st.tuples(st.sampled_from(["n", "convention", "repr", "data"]), st.just(MISSING))))
+    def test_bad_superop_header_rejected(self, repr_tag, fault):
+        key, value = fault
+        obj = superop_to_json(depolarizing(2, 0.5), repr_tag)
+        if value is MISSING:
+            del obj[key]
+        else:
+            obj[key] = value
+        with pytest.raises(SerializationError):
+            superop_from_json(obj)

@@ -41,10 +41,14 @@ def _unit(n, i, j):
 @pytest.mark.parametrize("cls", [SuperOp, ChoiMatrix])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_non_finite_entries_rejected(cls, bad):
+    label = "superoperator" if cls is SuperOp else "Choi matrix"
     mat = np.eye(4, dtype=complex)
     mat[1, 2] = bad
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match=label):
         cls(2, mat)
+    # The shape is checked before the entries.
+    with pytest.raises(DimensionMismatchError, match=label):
+        cls(2, mat[:3, :3])
 
 
 @pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])

@@ -194,6 +194,20 @@ class TestExtractUnitary:
         assert form.variant == variant
         assert phase_distance(form.u, u) < 1e-8
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 16])
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_composing_with_the_transpose_swaps_the_variant(self, variant, n):
+        # S times the transpose's permutation matrix permutes S's columns
+        # exactly, so phi o T fits phi's form with the other variant. The
+        # fits read the same blocks through different strides, so they agree
+        # to rounding, not to the bit.
+        s = wigner_map(haar_unitary(n, (22, n)), variant)
+        form = extract_unitary(s)
+        swapped = extract_unitary(SuperOp(n, s.mat @ transpose_superop(n).mat))
+        assert swapped.variant == (TRANSPOSE if variant == DIRECT else DIRECT)
+        np.testing.assert_allclose(swapped.u, form.u, rtol=0, atol=1e-12)
+        assert abs(swapped.residual - form.residual) <= 1e-12
+
     def test_phase_convention(self):
         for seed in range(10):
             form = extract_unitary(wigner_map(haar_unitary(4, (19, seed))))
