@@ -10,7 +10,7 @@ class DimensionMismatchError(WignerkitError):
 
 
 class NonFiniteError(WignerkitError):
-    """A matrix contains NaN or infinite entries."""
+    """A matrix contains NaN or infinite entries, or entries above superop.MAX_ENTRY."""
 
 
 class NotHermitianError(WignerkitError):
@@ -42,7 +42,8 @@ class NotHermiticityPreservingError(WignerkitError):
 
 
 class SingularMapError(WignerkitError):
-    """Superoperator is numerically singular (condition number > 1e12)."""
+    """Superoperator is numerically singular (condition number > 1e12), or its
+    inverse has an entry above superop.MAX_ENTRY."""
 
 
 class NotWignerLikeError(WignerkitError):

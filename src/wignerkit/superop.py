@@ -38,6 +38,13 @@ CONVENTION = "column-stacking"
 # is_invertible() and invert() refuse superoperators beyond this condition number.
 COND_LIMIT = 1e12
 
+# SuperOp and ChoiMatrix refuse an entry whose real or imaginary part exceeds
+# this. The rank-k audit squares images of Frobenius norm up to
+# n^2.5 sqrt(2) MAX_ENTRY and takes Frobenius norms of the squares, which sum
+# squares once more: at n = 64 those sums stay below 5e258, inside the float
+# range (1.8e308). At 1e80 a report already holds an infinite max_residual.
+MAX_ENTRY = 1e60
+
 
 def _require_map_matrix(n, mat, label: str) -> np.ndarray:
     # The checks SuperOp and ChoiMatrix share; returns mat as a complex array.
@@ -45,8 +52,14 @@ def _require_map_matrix(n, mat, label: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (n * n, n * n):
         raise DimensionMismatchError(f"{label} for n={n} must be {n**2}x{n**2}, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteError(f"{label} contains NaN or infinite entries")
+    # The real and imaginary parts; max and min propagate NaN, so this test
+    # also fails on NaN and inf.
+    parts = mat.ravel(order="K").view(float)
+    if not (parts.max() <= MAX_ENTRY and parts.min() >= -MAX_ENTRY):
+        if not np.all(np.isfinite(mat)):
+            raise NonFiniteError(f"{label} contains NaN or infinite entries")
+        raise NonFiniteError(f"{label} has an entry whose real or imaginary part exceeds "
+                             f"{MAX_ENTRY:.0e} in magnitude")
     return mat
 
 
@@ -81,8 +94,11 @@ class PositivityCertificate:
     proof is "cp" or "co-cp" (a Cholesky of the Choi matrix of phi or of
     phi o T succeeded), and strong evidence, not proof, when proof is
     "search". iterations holds each restart's seesaw iterations (all 0 with
-    a proof) and spread is the largest minus the least restart minimum (0.0
-    with a proof); neither is written to report files.
+    a proof) and spread is the largest minus the least restart value (0.0
+    with a proof); neither is written to report files. Both reflect the
+    restarts that the search's Aitken stop rule ended early: such a restart
+    counts the iterations it ran, and its value is where it stopped, above
+    its limit.
     """
 
     min_value: float
@@ -234,10 +250,21 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     step size. A restart stops when a half-step lowers its value by at most
     max(1e-12, 1e-2 tol) (converged) or after max_iters iterations. An
     x-step that stops it keeps its previous point, so every restart ends on
-    a point whose value lambda_min(phi(x x*)) it has computed. The restarts
-    are rows of one array; every stacked call runs the same BLAS and LAPACK
-    routine per row as one restart at a time would, so the result is the
-    same to the bit. The best restart is the first that reaches the least
+    a point whose value lambda_min(phi(x x*)) it has computed.
+
+    A restart that creeps toward a flat minimum stops early, by a rule on
+    Aitken's delta-squared extrapolation. After each full iteration let d be
+    the fall in its value f and rho = d / d_prev, the ratio to its fall
+    over the previous iteration (none on the first). Once some restart has
+    stopped, a running one stops when 0 < rho < 1 and its extrapolated
+    limit f - d rho / (1 - rho) exceeds max(least value of the stopped
+    restarts, -tol): if its falls keep shrinking by rho, it cannot beat a
+    restart that has already stopped. The incumbent comes from stopped
+    restarts only, since a running one may still fall below its own limit.
+
+    The restarts are rows of one array; every stacked call runs the same
+    BLAS and LAPACK routine per row as one restart at a time would, so the
+    result is the same to the bit. The best restart is the first that reaches the least
     value; min_value is its final value and the witness its final point.
 
     A negative min_value certifies non-positivity through its witness
@@ -288,12 +315,14 @@ def _seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float,
             seed) -> PositivityCertificate:
     # positivity_certificate's search stage, run whether or not a proof exists.
     # Row r of x, f and y is restart r's point, its value and the least
-    # eigenvector of phi(x x*) there; live lists the restarts still running.
+    # eigenvector of phi(x x*) there; fall[r] is its value's fall over its
+    # last iteration; live lists the restarts still running.
     adj = dagger(s.mat)
     gtol = max(1e-12, 1e-2 * tol)
     x = np.array([random_unit_vector(s.n, derive_seed(seed, r)) for r in range(restarts)])
     f, y = _least_eigs(s.mat, x)
     iterations = np.zeros(restarts, dtype=int)
+    fall = np.full(restarts, np.inf)
     live = np.arange(restarts)
     for _ in range(max_iters):
         if not live.size:
@@ -304,8 +333,20 @@ def _seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float,
         down = f[live] - g > gtol
         live, g, xn = live[down], g[down], xn[down]
         x[live] = xn
+        prev = f[live]
         f[live], y[live] = _least_eigs(s.mat, xn)
-        live = live[g - f[live] > gtol]
+        keep = g - f[live] > gtol
+        live, d = live[keep], (prev - f[live])[keep]
+        # rho is 0 on a row's first iteration (fall is inf), which the rule excludes.
+        rho = d / fall[live]
+        fall[live] = d
+        if live.size < restarts:
+            # Aitken's delta-squared limit of a row whose falls shrink by rho:
+            # stop the row if it cannot beat the best stopped row.
+            with np.errstate(divide="ignore"):
+                limit = f[live] - d * rho / (1 - rho)
+            bar = max(np.delete(f, live).min(), -tol)
+            live = live[~((0 < rho) & (rho < 1) & (limit > bar))]
 
     # np.argmin picks the first restart that reaches the minimum.
     best = np.argmin(f)
@@ -323,8 +364,16 @@ def is_invertible(s: SuperOp) -> bool:
 def invert(s: SuperOp) -> SuperOp:
     """Inverse map as a superoperator; SingularMapError unless is_invertible(s).
 
-    The rank-k audit needs only is_invertible (see wigner.preserves_rank_k).
+    The inverse is a SuperOp, so its entries must fit under MAX_ENTRY. A
+    well-conditioned map with tiny entries (say 1e-61 times a channel) has
+    an inverse above it, and invert raises SingularMapError for that too:
+    rescale such a map before inverting it. The rank-k audit needs only
+    is_invertible (see wigner.preserves_rank_k).
     """
     if not is_invertible(s):
         raise SingularMapError(f"superoperator condition number exceeds {COND_LIMIT:.0e}")
-    return SuperOp(s.n, np.linalg.inv(s.mat))
+    inv = np.linalg.inv(s.mat)
+    if not np.all(np.abs(inv.view(float)) <= MAX_ENTRY):
+        raise SingularMapError(f"the inverse has an entry above {MAX_ENTRY:.0e} in magnitude; "
+                               "rescale the map")
+    return SuperOp(s.n, inv)

@@ -7,15 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerkit import FAMILIES, depolarizing, haar_unitary, pseudo_depolarizing, wigner_map
+from wignerkit import (
+    CONVENTION,
+    FAMILIES,
+    depolarizing,
+    haar_unitary,
+    pseudo_depolarizing,
+    random_hermitian,
+    wigner_map,
+)
 from wignerkit.cli import main
-from wignerkit.serialize import dumps, superop_to_json
+from wignerkit.serialize import dumps, matrix_to_json, superop_to_json
+from wignerkit.superop import MAX_ENTRY
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_loads(text):
+    # json.loads that refuses NaN, Infinity and -Infinity, which are not JSON.
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def scaled_choi_file(path, n, seed, scale):
+    # A random Hermiticity-preserving map's Choi matrix times scale, written
+    # without the SuperOp checks so that any scale reaches the file; returns it.
+    choi = random_hermitian(n * n, seed) * scale
+    path.write_text(dumps({"n": n, "convention": CONVENTION, "repr": "choi",
+                           "data": matrix_to_json(choi)}))
+    return choi
 
 
 def run_quiet(*argv):
@@ -178,6 +203,15 @@ class TestInputErrors:
         code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "1")
         assert code == 2
         assert stdout == "" and err.startswith("error: entry (3, 1)")
+
+    def test_entry_above_the_ceiling_exit_two(self, tmp_path, capsys):
+        # Scaled by 1e150 a random map's report held max_residual Infinity,
+        # and by 1e160 NaN: the rank-k audit's squares overflowed.
+        mapfile = tmp_path / "m.json"
+        scaled_choi_file(mapfile, 3, 1, 1e160)
+        code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "1")
+        assert code == 2
+        assert stdout == "" and "exceeds 1e+60" in err
 
     def test_huge_integer_family_parameter_exit_two(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -366,3 +400,21 @@ class TestProperties:
             if flag == "--k" or data.draw(st.booleans()):
                 argv += [flag, data.draw(values)]
         assert run_quiet(*argv) in (0, 1, 2)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(2, 3), st.integers(0, 2**32), st.integers(-300, 300))
+    def test_analyze_scaled_map_writes_json(self, tmp_path_factory, n, seed, exponent):
+        # A random Hermiticity-preserving map scaled by 10^exponent: analyze
+        # exits 2 exactly when an entry exceeds the ceiling, and every report
+        # it writes is JSON, with no NaN or Infinity.
+        root = tmp_path_factory.getbasetemp()
+        mapfile, out = root / "scaled.json", root / "report.json"
+        choi = scaled_choi_file(mapfile, n, seed, 10.0 ** exponent)
+        out.unlink(missing_ok=True)
+        code = run_quiet("analyze", str(mapfile), "--k", "1", "--samples", "10",
+                         "--out", str(out))
+        too_large = np.abs(choi.view(float)).max() > MAX_ENTRY
+        assert code == (2 if too_large else 1)
+        assert out.exists() == (code != 2)
+        if out.exists():
+            strict_loads(out.read_text())

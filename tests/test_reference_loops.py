@@ -6,7 +6,9 @@ projection, and one `validate_projection` per image. The stages read every
 phi(E_ij) off one view of the superoperator, so these tests pin that view
 and the stacked arithmetic to the loops, map by map. The stacked Haar draws
 and the positivity seesaw, whose restarts run in lockstep, change no
-arithmetic, so their references must agree bit for bit.
+arithmetic, so their references must agree bit for bit. The seesaw's
+reference runs its restarts in lockstep too, since its stop rule compares
+them; with the rule switched off it is the search restart by restart.
 
 `ref_rank_k` keeps the inverse audit the stage no longer runs: it inverts
 the map and audits the inverse on a second seed stream. The stage derives
@@ -255,28 +257,59 @@ def ref_least_eig(s: SuperOp, x: np.ndarray):
     return float(w[0]), v[:, 0]
 
 
-def ref_seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):
-    # The seesaw one restart at a time, each half-step its own apply and eigh.
-    # Returns (value, point, converged, iterations) for every restart.
+def ref_seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float, seed,
+              rule: bool = True):
+    # The seesaw with every half-step of every restart its own apply and eigh.
+    # The restarts run in lockstep so that, with rule, each iteration can end
+    # with the stop rule: a running restart whose falls shrink by
+    # 0 < rho < 1 stops when its Aitken limit f - d rho / (1 - rho) exceeds
+    # max(least value of the stopped restarts, -tol). Without rule this is
+    # the search restart by restart. Returns (value, point, stop, iterations)
+    # for every restart; stop is "settled" (a half-step fell by at most
+    # gtol), "pruned" (the rule) or None (max_iters ran out).
     n = s.n
     s_adj = SuperOp(n, s.mat.conj().T)
     gtol = max(1e-12, 1e-2 * tol)
-    ends = []
+    rows = []
     for r in range(restarts):
         x = random_unit_vector(n, derive_seed(seed, r))
         f, y = ref_least_eig(s, x)
-        iterations, converged = 0, False
-        while iterations < max_iters and not converged:
-            iterations += 1
-            g, xn = ref_least_eig(s_adj, y)
-            if f - g <= gtol:
-                converged = True
-                break
+        rows.append({"f": f, "x": x, "y": y, "stop": None, "iterations": 0,
+                     "fall": None, "rho": None})
+    for _ in range(max_iters):
+        running = [row for row in rows if row["stop"] is None]
+        if not running:
+            break
+        for row in running:
+            row["iterations"] += 1
+            g, xn = ref_least_eig(s_adj, row["y"])
+            if row["f"] - g <= gtol:
+                row["stop"] = "settled"
+                continue
             fn, yn = ref_least_eig(s, xn)
-            converged = g - fn <= gtol
-            x, f, y = xn, fn, yn
-        ends.append((f, x, converged, iterations))
-    return ends
+            d = row["f"] - fn
+            row["f"], row["x"], row["y"] = fn, xn, yn
+            if g - fn <= gtol:
+                row["stop"] = "settled"
+                continue
+            row["rho"] = None if row["fall"] is None else d / row["fall"]
+            row["fall"] = d
+        stopped = [row["f"] for row in rows if row["stop"] is not None]
+        if not rule or not stopped:
+            continue
+        bar = max(min(stopped), -tol)
+        for row in running:
+            rho, d = row["rho"], row["fall"]
+            if (row["stop"] is None and rho is not None and 0 < rho < 1
+                    and row["f"] - d * rho / (1 - rho) > bar):
+                row["stop"] = "pruned"
+    return [(row["f"], row["x"], row["stop"], row["iterations"]) for row in rows]
+
+
+def best_end(ends):
+    # The first restart that reaches the least value, as np.argmin picks it.
+    values = [end[0] for end in ends]
+    return ends[values.index(min(values))]
 
 
 @pytest.mark.parametrize("restarts,max_iters", [(4, 30), (1, 30), (3, 0), (20, 150)])
@@ -287,11 +320,11 @@ def test_positivity_matches_restart_loop(name, restarts, max_iters):
     cert = superop._seesaw(s, restarts, max_iters, 1e-9, (6, 2))
     ends = ref_seesaw(s, restarts, max_iters, 1e-9, (6, 2))
     values = [end[0] for end in ends]
-    _, witness, converged, _ = ends[values.index(min(values))]
+    _, witness, stop, _ = best_end(ends)
     assert cert.proof == "search"
     assert cert.min_value == ref_least_eig(s, witness)[0]
     assert np.array_equal(cert.witness, witness)
-    assert cert.converged == converged
+    assert cert.converged == (stop == "settled")
     assert cert.iterations.tolist() == [end[3] for end in ends]
     assert cert.spread == max(values) - min(values)
     if max_iters == 0:
@@ -300,21 +333,25 @@ def test_positivity_matches_restart_loop(name, restarts, max_iters):
 
 @pytest.mark.parametrize("name", ["choi", "random_hp"])
 def test_positivity_pins_mixed_exits(name):
-    # At (20, 150) the restarts of one call meet the stall rule at different
-    # iterations, and on Choi's map some run to max_iters, so the (20, 150)
-    # case of test_positivity_matches_restart_loop pins the lockstep search
-    # as it drops rows at different iterations.
+    # At (20, 150) the restarts of one call settle at different iterations,
+    # and on Choi's map the stop rule prunes some of the rest, so the
+    # (20, 150) case of test_positivity_matches_restart_loop pins the
+    # lockstep search as it drops rows at different iterations and for
+    # both reasons.
     ends = ref_seesaw(POSITIVITY_MAPS[name](), 20, 150, 1e-9, (6, 2))
-    assert len({iterations for _, _, converged, iterations in ends if converged}) > 1
-    assert any(not converged for _, _, converged, _ in ends) == (name == "choi")
+    assert len({iterations for _, _, stop, iterations in ends if stop == "settled"}) > 1
+    assert any(stop != "settled" for _, _, stop, _ in ends) == (name == "choi")
+    assert any(stop == "pruned" for _, _, stop, _ in ends) == (name == "choi")
 
 
 def test_positivity_eigensolves_are_stacked(monkeypatch):
     # Each half-step of all running restarts is one _least_eigs call. On
-    # Choi's map some restarts run to the default 500 iterations, so with the
-    # start x0 and the first y-step it makes exactly 2 * 500 + 2 of them;
-    # restart at a time, its seesaw makes over 20,000. A count does not
-    # depend on the machine's speed.
+    # Choi's map at the defaults the start x0, the first y-step and 16
+    # iterations make exactly 2 * 16 + 2 of them: by then one restart has
+    # settled and the stop rule has pruned every other. Without the rule
+    # some restarts run to the 500th iteration (1002 calls); restart at a
+    # time, the seesaw makes over 20,000. A count does not depend on the
+    # machine's speed.
     calls = []
     least_eigs = superop._least_eigs
 
@@ -324,7 +361,33 @@ def test_positivity_eigensolves_are_stacked(monkeypatch):
 
     monkeypatch.setattr(superop, "_least_eigs", counting)
     positivity_certificate(choi_map())
-    assert len(calls) == 1002
+    assert len(calls) == 34
+
+
+def test_stop_rule_keeps_the_good_restart_of_a_short_search():
+    # An incumbent taken over all rows, the running ones included, needs no
+    # stopped row. Here it prunes the restart that would settle at 3.9e-12
+    # at its second iteration, and the search ends at 1.4e-5, not
+    # converged. Only stopped rows may set the incumbent.
+    s = choi_map()
+    cert = superop._seesaw(s, 3, 50, 1e-9, (4, 2))
+    ends = ref_seesaw(s, 3, 50, 1e-9, (4, 2), rule=False)
+    value, witness, stop, _ = best_end(ends)
+    assert cert.min_value == value
+    assert np.array_equal(cert.witness, witness)
+    assert stop == "settled" and cert.converged
+    assert cert.min_value < 1e-11
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stop_rule_keeps_planted_minima(n):
+    # At the defaults. Without the -tol floor on the incumbent the rule
+    # prunes the best restart at n = 5.
+    s = planted_indefinite(n, 15)
+    cert = superop._seesaw(s, 50, 500, 1e-9, (6, 2))
+    value, witness, _, _ = best_end(ref_seesaw(s, 50, 500, 1e-9, (6, 2), rule=False))
+    assert cert.min_value == value
+    assert np.array_equal(cert.witness, witness)
 
 
 def ref_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float, seed):

@@ -10,6 +10,7 @@ from wignerkit import (
     CONVENTION,
     FAMILIES,
     ClassifyConfig,
+    NonFiniteError,
     SerializationError,
     SuperOp,
     apply,
@@ -30,6 +31,7 @@ from wignerkit.serialize import (
     superop_from_json,
     superop_to_json,
 )
+from wignerkit.superop import MAX_ENTRY
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -148,6 +150,16 @@ class TestSuperOpJson:
         obj["repr"] = "kraus"
         with pytest.raises(SerializationError):
             superop_from_json(obj)
+
+    @pytest.mark.parametrize("repr_tag", ["superop", "choi"])
+    def test_entry_above_the_ceiling(self, repr_tag):
+        # A finite float the reader accepts, which the map checks then refuse.
+        obj = json.loads(dumps(superop_to_json(depolarizing(2, 0.5), repr_tag)))
+        obj["data"]["data"][1][2] = [0.0, -1e61]
+        with pytest.raises(NonFiniteError, match="exceeds"):
+            superop_from_json(obj)
+        obj["data"]["data"][1][2] = [0.0, -MAX_ENTRY]
+        assert superop_from_json(obj).n == 2
 
 
 class TestReportJson:
@@ -285,6 +297,7 @@ class TestDumps:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+within_ceiling = st.floats(-MAX_ENTRY, MAX_ENTRY)
 non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 huge_int = st.integers(309, 500).flatmap(
     lambda d: st.sampled_from([10**d, -(10**d)]))
@@ -362,9 +375,10 @@ class TestProperties:
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
-        st.just(n), st.lists(finite, min_size=2 * n**4, max_size=2 * n**4))),
+        st.just(n), st.lists(within_ceiling, min_size=2 * n**4, max_size=2 * n**4))),
         st.sampled_from(["superop", "choi"]))
     def test_superop_file_round_trip_bit_exact(self, drawn, repr_tag):
+        # Any entry a SuperOp holds: finite and at most MAX_ENTRY in magnitude.
         n, values = drawn
         s = SuperOp(n, np.array(values).view(complex).reshape(n * n, n * n))
         again = superop_from_json(json.loads(dumps(superop_to_json(s, repr_tag))))

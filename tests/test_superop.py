@@ -17,6 +17,7 @@ from wignerkit import (
     haar_unitary,
     invert,
     is_hermiticity_preserving,
+    is_invertible,
     is_unital,
     perturbed_wigner,
     planted_indefinite,
@@ -30,6 +31,7 @@ from wignerkit import (
     wigner_map,
 )
 from wignerkit.matrix_core import derive_seed
+from wignerkit.superop import MAX_ENTRY
 
 
 def _unit(n, i, j):
@@ -49,6 +51,23 @@ def test_non_finite_entries_rejected(cls, bad):
     # The shape is checked before the entries.
     with pytest.raises(DimensionMismatchError, match=label):
         cls(2, mat[:3, :3])
+
+
+@pytest.mark.parametrize("cls", [SuperOp, ChoiMatrix])
+@pytest.mark.parametrize("big", [1.01 * MAX_ENTRY, -1e61, 1e61j, complex(0.0, -1e300)])
+def test_entries_above_the_ceiling_rejected(cls, big):
+    mat = np.eye(4, dtype=complex)
+    mat[1, 2] = big
+    for layout in (mat, mat.T, np.asfortranarray(mat), np.kron(mat, np.ones((1, 2)))[:, ::2]):
+        with pytest.raises(NonFiniteError, match="exceeds 1e\\+60"):
+            cls(2, layout)
+    # NaN and inf keep their own message, also beside a value above the ceiling.
+    mat[0, 3] = np.nan
+    with pytest.raises(NonFiniteError, match="NaN or infinite"):
+        cls(2, mat)
+    mat[0, 3] = 0.0
+    mat[1, 2] = -MAX_ENTRY * (1 - 1j)
+    assert cls(2, mat.T).mat[2, 1] == mat[1, 2]
 
 
 @pytest.mark.parametrize("n", [2.0, 2.5, True, "2"])
@@ -338,3 +357,12 @@ class TestInvert:
     def test_trace_map_singular(self):
         with pytest.raises(SingularMapError):
             invert(depolarizing(3, 0.0))
+
+    def test_inverse_above_the_entry_ceiling(self):
+        # cond is about 3, but the inverse's entries are about 1e61.
+        s = SuperOp(2, 1e-61 * depolarizing(2, 0.5).mat)
+        assert is_invertible(s)
+        with pytest.raises(SingularMapError, match="rescale"):
+            invert(s)
+        np.testing.assert_allclose(invert(SuperOp(2, 1e-59 * depolarizing(2, 0.5).mat)).mat,
+                                   1e59 * invert(depolarizing(2, 0.5)).mat, rtol=1e-12)
