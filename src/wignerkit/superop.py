@@ -92,10 +92,13 @@ class PositivityCertificate:
     A negative min_value certifies the map is not positive (witness is the
     offending unit vector). A nonnegative one is a proof of positivity when
     proof is "cp" or "co-cp" (a Cholesky of the Choi matrix of phi or of
-    phi o T succeeded), and strong evidence, not proof, when proof is
-    "search". iterations holds each restart's seesaw iterations (all 0 with
-    a proof) and spread is the largest minus the least restart value (0.0
-    with a proof); neither is written to report files. Both reflect the
+    phi o T succeeded) or "model" (classify only: the map lies within
+    delta <= tol of a fitted a -> U a U* or a -> U a^t U*, so
+    lambda_min(phi(x x*)) >= -delta for every unit x), and strong evidence,
+    not proof, when proof is "search". iterations holds each restart's
+    seesaw iterations (all 0 with a proof) and spread is the largest minus
+    the least restart value (0.0 with a proof); neither is written to
+    report files. Both reflect the
     restarts that the search's Aitken stop rule ended early: such a restart
     counts the iterations it ran, and its value is where it stopped, above
     its limit.
@@ -288,14 +291,21 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
 
 
 def _certify_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float,
-                        seed) -> PositivityCertificate:
+                        seed, delta: float = np.inf) -> PositivityCertificate:
     # positivity_certificate on arguments already checked, for a map already
-    # known to preserve Hermiticity.
+    # known to preserve Hermiticity. delta bounds ||S - S_model||_F for the
+    # superoperator S_model of some a -> U a U* or a -> U a^t U*. Then
+    # phi(x x*) = U x x* U* + E(x x*) (x conjugated for the transpose
+    # variant) with ||E(x x*)||_2 <= delta ||x x*||_F = delta, and the first
+    # term is PSD for any U, so lambda_min(phi(x x*)) >= -delta: with
+    # delta <= tol that is the proof "model", and no Choi matrix is formed.
     n = s.n
     x0 = random_unit_vector(n, derive_seed(seed, 0))
     (f0,), _ = _least_eigs(s.mat, x0[None])
     proof = None
-    if f0 >= -tol:
+    if f0 >= -tol and delta <= tol:
+        proof = "model"
+    elif f0 >= -tol:
         h = hermitian_part(_reshuffle(s.mat, n)) + tol * np.eye(n * n)
         # The Choi matrix of phi o T, whose superoperator is S with its
         # columns permuted, is the partial transpose of C: block (i, j) is

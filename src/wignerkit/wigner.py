@@ -100,6 +100,10 @@ class RankKAudit:
     standard-basis subset projections). inverse_pass is derived, not
     sampled: it holds when every sample passed and the map is invertible
     (cond(S) <= 1e12), which is "onto" given "into" (see preserves_rank_k).
+    classify proves invertibility from its fitted model when it can, with
+    no SVD: sigma_min(S) >= sigma_min(S_model) - delta >= 1 - epsilon - delta
+    (see AnalysisReport), so epsilon + delta <= 1/2 gives cond(S) <= 3.
+    Otherwise it computes cond(S), as preserves_rank_k always does.
     """
 
     k: int
@@ -111,7 +115,19 @@ class RankKAudit:
 
 @dataclass
 class AnalysisReport:
-    """Full verdict: which hypotheses hold and the recovered form, if any."""
+    """Full verdict: which hypotheses hold and the recovered form, if any.
+
+    delta and epsilon come from the conjugation model that classify fits to
+    a unital, Hermiticity-preserving map, and are None when there is no
+    such map or the fit fails. delta = ||S - S_model||_F is the
+    root-sum-square of the per-unit deviations whose maximum is the form's
+    residual, and it bounds the operator norm of phi - model. epsilon =
+    ||U* U - I||_F is the fitted U's distance from unitarity. So
+    lambda_min(phi(x x*)) >= -delta for every unit x, sigma_min(S) >=
+    1 - epsilon - delta, and every rank-k projection Q maps to within
+    delta sqrt(k) of U Q U* (U Q^t U* for the transpose variant). Neither
+    is written to report files.
+    """
 
     unital: bool
     hermiticity_preserving: bool
@@ -120,6 +136,8 @@ class AnalysisReport:
     form: WignerForm | None
     verdict: str
     reasons: list[str]
+    delta: float | None
+    epsilon: float | None
 
 
 @dataclass(frozen=True)
@@ -206,6 +224,14 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     require_count("samples", samples, 0)
     require_tolerance("tol", tol)
     require_seed(seed)
+    return _audit_rank_k(s, k, samples, tol, seed)
+
+
+def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
+                  invertible: bool = False) -> RankKAudit:
+    # preserves_rank_k on arguments already checked. invertible says S is
+    # already known to be invertible, so cond(S) is not computed.
+    n = s.n
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
     basis = np.zeros((len(subsets), n, n), dtype=complex)
@@ -219,7 +245,7 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     pass_fraction = np.count_nonzero(ranks == k) / len(tests)
     return RankKAudit(k=k, samples=len(tests), pass_fraction=pass_fraction,
                       max_residual=float(residuals.max()),
-                      inverse_pass=pass_fraction == 1.0 and is_invertible(s))
+                      inverse_pass=pass_fraction == 1.0 and (invertible or is_invertible(s)))
 
 
 def definite_set_check(s: SuperOp, q: Projection) -> float:
@@ -265,6 +291,13 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
     NotWignerLikeError when both residuals exceed tol.
     """
     require_tolerance("tol", tol)
+    return _fit_form(s, tol)[0]
+
+
+def _fit_form(s: SuperOp, tol: float) -> tuple[WignerForm, float]:
+    # extract_unitary on a checked tol, with delta = ||S - S_model||_F of
+    # the winning variant: the root-sum-square of its per-unit deviations,
+    # whose maximum is the residual.
     n = s.n
     units = unit_images(s)
 
@@ -277,23 +310,25 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
             f"phi(E_11) has second eigenvalue {w[-2]:.3e}; image is not rank 1")
     u1 = v[:, -1]
 
-    def fit(images: np.ndarray) -> tuple[np.ndarray, float]:
+    def fit(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The direct model a -> U a U* fitted to images[i, j] = image of E_ij:
-        # column j of U is images[j, 0] u1, column 0 is u1 itself.
+        # column j of U is images[j, 0] u1, column 0 is u1 itself. Returns U
+        # and the Frobenius deviation of each image from the model.
         cols = images[:, 0] @ u1
         cols[0] = u1
         u = _fix_phase(_polar_unitary(cols.T))
         model = u.T[:, None, :, None] * u.conj().T[None, :, None, :]
-        return u, float(np.linalg.norm(images - model, axis=(2, 3)).max())
+        return u, np.linalg.norm(images - model, axis=(2, 3))
 
-    u_direct, res_d = fit(units)
-    u_transp, res_t = fit(units.swapaxes(0, 1))
+    u_direct, dev_d = fit(units)
+    u_transp, dev_t = fit(units.swapaxes(0, 1))
+    res_d, res_t = float(dev_d.max()), float(dev_t.max())
     if min(res_d, res_t) > tol:
         raise NotWignerLikeError(
             f"no conjugation model within {tol:.1e} (direct {res_d:.3e}, transpose {res_t:.3e})")
     if res_d <= res_t:
-        return WignerForm(u=u_direct, variant=DIRECT, residual=res_d)
-    return WignerForm(u=u_transp, variant=TRANSPOSE, residual=res_t)
+        return WignerForm(u=u_direct, variant=DIRECT, residual=res_d), frobenius(dev_d)
+    return WignerForm(u=u_transp, variant=TRANSPOSE, residual=res_t), frobenius(dev_t)
 
 
 def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
@@ -309,24 +344,43 @@ def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
 def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> AnalysisReport:
     """Run every hypothesis check, then attempt the decomposition.
 
-    Checks run cheap to expensive (unital, Hermiticity-preserving,
-    positivity, rank-k audit) and all of them run regardless of earlier
-    failures, except positivity, which requires a Hermiticity-preserving
-    map: it runs on a map that passed the Hermiticity test at unital_tol,
-    without positivity_certificate's own test. Extraction runs only when
-    every hypothesis passed. Failures are verdicts, not errors.
+    Stages: unital, Hermiticity-preserving, the fit of the conjugation
+    model (extract_unitary at decomposition_tol, on a map that passed both
+    tests), positivity, and the rank-k audit. All of them run regardless
+    of earlier failures, except positivity, which requires a
+    Hermiticity-preserving map: it runs on a map that passed the
+    Hermiticity test at unital_tol, without positivity_certificate's own
+    test. The paper's theorem says a map that passes every check is of
+    the fitted form, so the fit certifies what it can (see
+    AnalysisReport): positivity with proof "model" when delta <=
+    positivity_tol, and invertibility, with no cond(S), when
+    epsilon + delta <= 1/2. Otherwise, or when the fit fails, the Cholesky
+    proofs, the search and cond(S) run as in positivity_certificate and
+    preserves_rank_k. Either way the positivity certificate, the seeded
+    audit and the verdict are theirs. The fitted form is reported only when
+    every hypothesis passed; a failed fit then gives
+    "decomposition_failure". Failures are verdicts, not errors.
     """
     require_rank(k, s.n)
     cfg = config or ClassifyConfig()
 
     unital = is_unital(s, cfg.unital_tol)
     hp = is_hermiticity_preserving(s, cfg.unital_tol)
+    fitted = delta = epsilon = None
+    if unital and hp:
+        try:
+            fitted, delta = _fit_form(s, cfg.decomposition_tol)
+        except (NotWignerLikeError, DegenerateImageError):
+            pass
+        else:
+            epsilon = frobenius(dagger(fitted.u) @ fitted.u - np.eye(s.n))
     cert = None
     if hp:
         cert = _certify_positivity(s, cfg.restarts, cfg.max_iters, cfg.positivity_tol,
-                                   derive_seed(cfg.seed, 2))
-    audit = preserves_rank_k(s, k, samples=cfg.samples, tol=cfg.projection_tol,
-                             seed=derive_seed(cfg.seed, 3))
+                                   derive_seed(cfg.seed, 2),
+                                   np.inf if delta is None else delta)
+    audit = _audit_rank_k(s, k, cfg.samples, cfg.projection_tol, derive_seed(cfg.seed, 3),
+                          invertible=fitted is not None and epsilon + delta <= 0.5)
 
     reasons = []
     if not unital:
@@ -338,14 +392,11 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     if not audit.inverse_pass:
         reasons.append("rank_k_violation")
 
-    form = None
-    if not reasons:
-        try:
-            form = extract_unitary(s, cfg.decomposition_tol)
-        except (NotWignerLikeError, DegenerateImageError):
-            reasons.append("decomposition_failure")
+    if not reasons and fitted is None:
+        reasons.append("decomposition_failure")
+    form = None if reasons else fitted
 
     return AnalysisReport(unital=unital, hermiticity_preserving=hp, positivity=cert,
                           rank_k_audit=audit, form=form,
                           verdict="wigner" if form is not None else "not_wigner",
-                          reasons=reasons)
+                          reasons=reasons, delta=delta, epsilon=epsilon)

@@ -16,6 +16,11 @@ inverse_pass from its forward pass and cond(S) alone, so the old loop is the
 cross-check that the derived predicate agrees with it, map by map.
 `ref_positivity` keeps the projected gradient descent the seesaw replaced,
 as the oracle its minima must reach.
+
+`ref_classify` keeps classify as the public stages ran it before its fitted
+model could certify positivity and invertibility: the Cholesky proofs or the
+search, the audit with cond(S), and the extraction last. Report files from
+the two must be equal; only the certificate's proof kind may differ.
 """
 
 import itertools
@@ -24,10 +29,13 @@ import numpy as np
 import pytest
 
 from wignerkit import (
+    AnalysisReport,
     ChoiMatrix,
     ClassifyConfig,
+    DegenerateImageError,
     NotAProjectionError,
     NotHermitianError,
+    NotWignerLikeError,
     SingularMapError,
     SuperOp,
     apply,
@@ -40,6 +48,7 @@ from wignerkit import (
     haar_unitary,
     invert,
     is_hermiticity_preserving,
+    is_unital,
     planted_indefinite,
     positivity_certificate,
     preserves_rank_k,
@@ -50,6 +59,7 @@ from wignerkit import (
 )
 from wignerkit import superop
 from wignerkit.matrix_core import derive_seed
+from wignerkit.serialize import report_to_json
 from wignerkit.wigner import BASIS_SUBSET_CAP, TRANSPOSE
 
 DIMS = (2, 3, 5, 8)
@@ -435,3 +445,72 @@ def test_positivity_reaches_the_descents_minimum(name):
     s = ORACLE_MAPS[name]()
     cert = positivity_certificate(s, seed=(6, 2))
     assert cert.min_value <= ref_positivity(s, 50, 500, 1e-9, (6, 2)) + 1e-9
+
+
+def ref_classify(s: SuperOp, k: int, cfg: ClassifyConfig) -> AnalysisReport:
+    # Every hypothesis check through its public stage, the extraction last.
+    unital = is_unital(s, cfg.unital_tol)
+    hp = is_hermiticity_preserving(s, cfg.unital_tol)
+    cert = None
+    if hp:
+        cert = positivity_certificate(s, cfg.restarts, cfg.max_iters, cfg.positivity_tol,
+                                      derive_seed(cfg.seed, 2))
+    audit = preserves_rank_k(s, k, cfg.samples, cfg.projection_tol, derive_seed(cfg.seed, 3))
+    reasons = [reason for reason, failed in (
+        ("unital_violation", not unital), ("hermiticity_violation", not hp),
+        ("positivity_violation", hp and cert.min_value < -cfg.positivity_tol),
+        ("rank_k_violation", not audit.inverse_pass)) if failed]
+    form = None
+    if not reasons:
+        try:
+            form = extract_unitary(s, cfg.decomposition_tol)
+        except (NotWignerLikeError, DegenerateImageError):
+            reasons.append("decomposition_failure")
+    return AnalysisReport(unital, hp, cert, audit, form,
+                          "wigner" if form is not None else "not_wigner", reasons, None, None)
+
+
+def mixed_map(n: int, t: float, seed) -> SuperOp:
+    # a -> (1 - t) U a U* + t tr(a) I / n: unital and CP, within about t of
+    # a Wigner map (delta is about 5t at n = 5). t = 1e-12 is inside
+    # positivity_tol and the projection tolerance, t = 1e-9 only inside the
+    # projection tolerance, and t = 1e-7 outside both and inside
+    # decomposition_tol.
+    w = build_map("wigner", n, {"variant": "direct"}, seed)
+    return SuperOp(n, (1 - t) * w.mat + t * build_map("depolarizing", n, {"lambda": 0.0}).mat)
+
+
+CLASSIFY_MAPS = {
+    **{f"wigner-{n}": (lambda n: lambda seed: build_map(
+        "wigner", n, {"variant": "direct"}, seed))(n) for n in (2, 5, 8, 16)},
+    **{f"wigner_transpose-{n}": (lambda n: lambda seed: build_map(
+        "wigner", n, {"variant": "transpose"}, seed))(n) for n in (2, 5, 8, 16)},
+    "depolarizing": lambda seed: build_map("depolarizing", 6, {"lambda": 0.4}),
+    "pseudo_depolarizing_positive": lambda seed: build_map("pseudo_depolarizing", 4, {"mu": 0.2}),
+    "pseudo_depolarizing_negative": lambda seed: build_map("pseudo_depolarizing", 4, {"mu": 0.6}),
+    "perturbed": lambda seed: build_map("perturbed_wigner", 6,
+                                        {"variant": "transpose", "epsilon": 1e-3}, seed),
+    "mixed_inside": lambda seed: mixed_map(5, 1e-12, seed),
+    "mixed_between": lambda seed: mixed_map(5, 1e-9, seed),
+    "mixed_outside": lambda seed: mixed_map(5, 1e-7, seed),
+    "choi": lambda seed: choi_map(),
+    "planted": lambda seed: planted_indefinite(4, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(CLASSIFY_MAPS))
+def test_classify_matches_public_stages(name, seed):
+    s = CLASSIFY_MAPS[name](seed)
+    k = max(1, s.n // 2)
+    cfg = ClassifyConfig(seed=seed)
+    got, want = classify(s, k, cfg), ref_classify(s, k, cfg)
+    assert report_to_json(got) == report_to_json(want)
+    if want.positivity is not None:
+        assert got.positivity.proof in (want.positivity.proof, "model")
+        for field in ("witness", "iterations"):
+            assert np.array_equal(getattr(got.positivity, field), getattr(want.positivity, field))
+        assert got.positivity.spread == want.positivity.spread
+    if got.positivity is not None and got.positivity.proof == "model":
+        assert want.positivity.proof in ("cp", "co-cp")
+        assert got.delta <= cfg.positivity_tol

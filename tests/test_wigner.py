@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerkit import (
     DIRECT,
@@ -21,6 +24,7 @@ from wignerkit import (
     from_action,
     haar_unitary,
     lemma1_projections,
+    perturbed_wigner,
     phase_distance,
     planted_indefinite,
     positivity_certificate,
@@ -28,12 +32,14 @@ from wignerkit import (
     pseudo_depolarizing,
     random_hermitian,
     random_rank_k_projection,
+    random_rank_k_projections,
     random_unit_vector,
     transpose_superop,
     validate_projection,
     vector_state_partner,
     wigner_map,
 )
+from wignerkit import superop, wigner
 from wignerkit.matrix_core import derive_seed
 from wignerkit.superop import SuperOp
 
@@ -357,18 +363,23 @@ class TestClassify:
             assert rep.hermiticity_preserving and rep.positivity is not None
             assert calls == [1e-8]
 
-    @pytest.mark.parametrize("make", [
-        lambda: wigner_map(haar_unitary(4, 31), TRANSPOSE),
-        lambda: pseudo_depolarizing(4, 0.6), choi_map, lambda: planted_indefinite(3, 2)],
+    @pytest.mark.parametrize("make,proof", [
+        (lambda: wigner_map(haar_unitary(4, 31), TRANSPOSE), "model"),
+        (lambda: pseudo_depolarizing(4, 0.6), "search"), (choi_map, "search"),
+        (lambda: planted_indefinite(3, 2), "search")],
         ids=["co-cp", "indefinite", "choi", "planted"])
-    def test_positivity_stage_is_positivity_certificate(self, make):
+    def test_positivity_stage_is_positivity_certificate(self, make, proof):
+        # classify proves a Wigner map positive from its fitted model, where
+        # the public stage proves it co-CP; every other field is the same.
         s = make()
         cfg = ClassifyConfig(seed=5, samples=3, restarts=6, max_iters=40)
         cert = classify(s, 1, cfg).positivity
         public = positivity_certificate(s, restarts=6, max_iters=40, tol=cfg.positivity_tol,
                                         seed=derive_seed(5, 2))
-        assert (cert.min_value, cert.converged, cert.proof, cert.spread) == \
-            (public.min_value, public.converged, public.proof, public.spread)
+        assert cert.proof == proof
+        assert public.proof == ("co-cp" if proof == "model" else proof)
+        assert (cert.min_value, cert.converged, cert.spread) == \
+            (public.min_value, public.converged, public.spread)
         assert np.array_equal(cert.witness, public.witness)
         assert np.array_equal(cert.iterations, public.iterations)
 
@@ -417,6 +428,88 @@ class TestClassify:
             ClassifyConfig(projection_tol=tol)
         with pytest.raises(BadParameterError):
             ClassifyConfig().with_tolerance(tol)
+
+
+class TestModelCertificate:
+    """The bounds classify draws from its fitted model (see AnalysisReport)."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.floats(1e-14, 0.5), st.sampled_from([DIRECT, TRANSPOSE]),
+           st.sampled_from([2, 3, 4, 8]), st.integers(0, 2**16), st.data())
+    def test_bounds_hold_on_perturbed_maps(self, eps, variant, n, seed, data):
+        u = haar_unitary(n, seed)
+        s = perturbed_wigner(u, variant, eps, seed)
+        # A tolerance of 100 also loosens the rank-1 gate, so every map is fitted.
+        form, delta = wigner._fit_form(s, 100.0)
+        model = wigner_map(form.u, form.variant)
+        assert delta == pytest.approx(np.linalg.norm(s.mat - model.mat), rel=1e-9, abs=1e-14)
+        epsilon = np.linalg.norm(form.u.conj().T @ form.u - np.eye(n))
+
+        for i in range(10):
+            x = random_unit_vector(n, (seed, i))
+            img = apply(s, np.outer(x, x.conj()))
+            assert np.linalg.eigvalsh((img + img.conj().T) / 2)[0] >= -delta - 1e-12
+
+        if epsilon + delta < 1:
+            bound = (1 + epsilon + delta) / (1 - epsilon - delta)
+            assert np.linalg.cond(s.mat) <= bound * (1 + 1e-9)
+
+        # The audit's own test projections: basis subsets, then seeded draws.
+        k = data.draw(st.integers(1, n - 1))
+        audit_seed = derive_seed(seed, 3)
+        subsets = itertools.islice(itertools.combinations(range(n), k),
+                                   wigner.BASIS_SUBSET_CAP)
+        tests = [np.diag([1.0 if i in sub else 0.0 for i in range(n)]) for sub in subsets]
+        tests += list(random_rank_k_projections(
+            n, k, [derive_seed(audit_seed, 0, i) for i in range(8)]))
+        for q in tests:
+            moved = q.T if form.variant == TRANSPOSE else q
+            gap = np.linalg.norm(apply(s, q) - form.u @ moved @ form.u.conj().T)
+            assert gap <= delta * np.sqrt(k) + 1e-12
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_positivity_tol_below_delta_falls_back_to_cholesky(self, variant):
+        s = wigner_map(haar_unitary(5, 41), variant)
+        cfg = ClassifyConfig(seed=6, samples=5, restarts=4, max_iters=30, positivity_tol=1e-15)
+        rep = classify(s, 2, cfg)
+        assert rep.delta > cfg.positivity_tol
+        public = positivity_certificate(s, restarts=4, max_iters=30, tol=1e-15,
+                                        seed=derive_seed(6, 2))
+        assert rep.positivity.proof == public.proof == ("cp" if variant == DIRECT else "co-cp")
+        assert (rep.positivity.min_value, rep.positivity.converged) == \
+            (public.min_value, public.converged)
+        assert np.array_equal(rep.positivity.witness, public.witness)
+        assert rep.verdict == "wigner"
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_accept_at_n32_needs_no_cond_and_no_cholesky(self, monkeypatch, variant):
+        calls = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"classify called {name} on a model-certified map")
+            return call
+
+        monkeypatch.setattr(wigner, "is_invertible", refuse("is_invertible"))
+        monkeypatch.setattr(superop, "_is_positive_definite", refuse("_is_positive_definite"))
+        u = haar_unitary(32, 7)
+        rep = classify(wigner_map(u, variant), 3, ClassifyConfig(samples=4, restarts=2))
+        assert calls == []
+        assert rep.verdict == "wigner" and rep.form.variant == variant
+        assert rep.positivity.proof == "model"
+        assert rep.rank_k_audit.inverse_pass
+        assert rep.delta + rep.epsilon < 1e-12
+        assert phase_distance(rep.form.u, u) < 1e-8
+
+    def test_no_model_on_rejected_maps(self):
+        # pseudo-depolarizing maps fail the fit's rank-1 gate and perturbed
+        # maps are not unital: both keep the Cholesky proofs.
+        for s, proof in ((pseudo_depolarizing(4, 0.2), "co-cp"),
+                         (perturbed_wigner(haar_unitary(4, 3), DIRECT, 1e-3), "cp")):
+            rep = classify(s, 2, ClassifyConfig(samples=5, restarts=3))
+            assert rep.delta is None and rep.epsilon is None
+            assert rep.positivity.proof == proof
 
 
 @pytest.mark.parametrize("value", [1.5, True, "2"])
