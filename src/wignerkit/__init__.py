@@ -36,7 +36,6 @@ from .genmaps import (
 from .matrix_core import (
     DEFAULT_PROJECTION_TOL,
     Projection,
-    conjugate,
     haar_unitary,
     phase_distance,
     random_hermitian,
@@ -44,9 +43,6 @@ from .matrix_core import (
     random_rank_k_projections,
     random_unit_vector,
     require_unitary,
-    spectral_decomp,
-    trace,
-    transpose,
     validate_projection,
 )
 from .superop import (

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import selftest
-from .errors import BadParameterError, WignerkitError
+from .errors import BadParameterError, SerializationError, WignerkitError
 from .genmaps import build_map
 from .matrix_core import MAX_DIMENSION, haar_unitary
 from .serialize import (
@@ -63,9 +63,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_json(text: str, source: str):
+    """json.loads, with input nested too deeply for the parser refused as a
+    SerializationError instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SerializationError(f"{source} is JSON nested too deeply to parse") from None
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_json(fh.read(), path)
+
+
 def _cmd_analyze(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        s = superop_from_json(json.load(fh))
+    s = superop_from_json(_read_json(args.file))
     seed = args.seed if args.seed is not None else default_seed()
     cfg = ClassifyConfig(samples=args.samples, seed=seed)
     if args.tol is not None:
@@ -82,11 +95,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_generate(args) -> int:
     raw = args.spec.strip()
-    if raw.startswith("{"):
-        spec = json.loads(raw)
-    else:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+    spec = _parse_json(raw, "--spec") if raw.startswith("{") else _read_json(args.spec)
     family, n, params, seed = family_spec_from_json(spec)
     if seed is None:
         seed = default_seed()

@@ -56,7 +56,7 @@ class MapFamily:
 
 def _transpose_columns(n: int) -> np.ndarray:
     # a -> a^t sends E_ij to E_ji: superoperator columns i + n j and j + n i swap.
-    return np.arange(n * n).reshape(n, n).T.reshape(-1)
+    return vec(np.arange(n * n).reshape(n, n))
 
 
 def transpose_superop(n: int) -> SuperOp:
@@ -193,25 +193,20 @@ def expected_flags(name: str, n: int, params: dict | None, k: int) -> MapFamily:
     require_rank(k, n)
     params = dict(params or {})
     if name == "wigner":
-        flags = {"unital": True, "positive": True, "rank_k_preserving": True, "wigner": True}
+        flags = {"unital": True, "positive": True, "rank_k_preserving": True}
     elif name == "depolarizing":
         lam = _require_param(params, "lambda")
-        preserved = lam == 1.0
-        flags = {"unital": True, "positive": True,
-                 "rank_k_preserving": preserved, "wigner": preserved}
+        flags = {"unital": True, "positive": True, "rank_k_preserving": lam == 1.0}
     elif name == "pseudo_depolarizing":
         mu = _require_param(params, "mu")
-        positive = mu <= 1.0 / (n - 1) + 1e-12
         # mu = 1 on n = 2k sends Q to I - Q, again a rank-k projection; for
         # n = 2 that map is U a^t U* with U = [[0, -1], [1, 0]].
-        preserved = mu == 1.0 and n == 2 * k
-        flags = {"unital": True, "positive": positive,
-                 "rank_k_preserving": preserved, "wigner": preserved and positive}
+        flags = {"unital": True, "positive": mu <= 1.0 / (n - 1) + 1e-12,
+                 "rank_k_preserving": mu == 1.0 and n == 2 * k}
     elif name == "perturbed_wigner":
-        eps = _require_param(params, "epsilon")
-        exact = eps == 0.0
-        flags = {"unital": exact, "positive": True,
-                 "rank_k_preserving": exact, "wigner": exact}
+        exact = _require_param(params, "epsilon") == 0.0
+        flags = {"unital": exact, "positive": True, "rank_k_preserving": exact}
     else:
         raise BadParameterError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    flags["wigner"] = flags["unital"] and flags["positive"] and flags["rank_k_preserving"]
     return MapFamily(name=name, parameters=params, expected=flags)

@@ -1,5 +1,5 @@
-"""Dense complex matrix arithmetic: Hermitian spectral tools, projection
-certification, and Haar-random sampling.
+"""Dense complex matrix arithmetic: input checks, projection certification,
+and Haar-random sampling.
 
 Every function is a pure function of its inputs; randomness enters only
 through an explicit seed, so all results are reproducible and thread-safe.
@@ -25,9 +25,6 @@ from .errors import (
 # Eigenvalues within this distance of {0, 1} count as projection spectrum.
 # Projections have unit-scale spectra, so an absolute tolerance is stable.
 DEFAULT_PROJECTION_TOL = 1e-8
-
-# Relative Frobenius tolerance for accepting an input as Hermitian.
-HERMITIAN_RTOL = 1e-10
 
 # ||U*U - I||_F <= UNITARY_TOL * n for a certified unitary.
 UNITARY_TOL = 1e-12
@@ -75,21 +72,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def trace(m) -> complex:
-    """Sum of diagonal entries."""
-    return complex(np.trace(np.asarray(m)))
-
-
-def transpose(m) -> np.ndarray:
-    """Entry-exact transpose (returns a fresh array, not a view)."""
-    return np.asarray(m).T.copy()
-
-
-def conjugate(m) -> np.ndarray:
-    """Entrywise complex conjugate."""
-    return np.conj(np.asarray(m))
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m*) / 2."""
     return (m + dagger(m)) / 2
@@ -129,25 +111,6 @@ class Projection:
     matrix: np.ndarray
     rank: int
     tol: float
-
-
-def spectral_decomp(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, v) with eigenvalues w ascending and orthonormal eigenvector
-    columns v, so h = v @ diag(w) @ v*. For degenerate eigenvalues the basis
-    within an eigenspace is arbitrary; callers must not rely on a specific
-    choice.
-
-    Raises NotHermitianError if h deviates from h* by more than 1e-10
-    relative Frobenius norm.
-    """
-    h = as_matrix(h)
-    scale = max(1.0, frobenius(h))
-    if frobenius(h - dagger(h)) > HERMITIAN_RTOL * scale:
-        raise NotHermitianError("input is not Hermitian within 1e-10 relative tolerance")
-    w, v = np.linalg.eigh(hermitian_part(h))
-    return w, v
 
 
 # Ranks projection_ranks reports for the matrices it cannot certify.
@@ -226,29 +189,28 @@ def require_unitary(u) -> np.ndarray:
     return u
 
 
-def random_rank_k_projections(n: int, k: int, seeds,
-                              tol: float = DEFAULT_PROJECTION_TOL) -> np.ndarray:
+def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
     """Haar-random rank-k projections U diag(1 x k, 0 x (n-k)) U*, one per seed.
 
     Returns a len(seeds) x n x n stack; draw t depends on seeds[t] alone, so
     a stack equals its draws made one seed at a time, bit for bit. One
     projection_ranks call certifies every draw; NotAProjectionError if any
-    is not a rank-k projection within tol.
+    is not a rank-k projection within DEFAULT_PROJECTION_TOL.
     """
     require_rank(k, n)
     v = _haar_unitaries(n, seeds)[..., :k]
     ms = v @ dagger(v)
-    ranks, _ = projection_ranks(ms, tol)
+    ranks, _ = projection_ranks(ms)
     if np.any(ranks != k):
-        raise NotAProjectionError(
-            f"a Haar draw is not certified as a rank-{k} projection within {tol}")
+        raise NotAProjectionError(f"a Haar draw is not certified as a rank-{k} projection "
+                                  f"within {DEFAULT_PROJECTION_TOL}")
     return ms
 
 
-def random_rank_k_projection(n: int, k: int, seed=0,
-                             tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
+def random_rank_k_projection(n: int, k: int, seed=0) -> Projection:
     """Haar-random rank-k projection: random_rank_k_projections for one seed."""
-    return Projection(matrix=random_rank_k_projections(n, k, [seed], tol)[0], rank=k, tol=tol)
+    return Projection(matrix=random_rank_k_projections(n, k, [seed])[0], rank=k,
+                      tol=DEFAULT_PROJECTION_TOL)
 
 
 def random_hermitian(n: int, seed=0) -> np.ndarray:

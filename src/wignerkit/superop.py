@@ -10,6 +10,7 @@ so serialization writes the CONVENTION tag and checks it on load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,18 +115,24 @@ class PositivityCertificate:
 
 
 def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of a into one vector."""
-    return np.asarray(a).reshape(-1, order="F")
+    """Stack the columns of a matrix into one vector, or of each matrix of a
+    stack: the last two axes flatten in column order."""
+    a = np.asarray(a)
+    if a.ndim < 2:
+        raise DimensionMismatchError(f"cannot vec shape {a.shape}: it has no matrix axes")
+    # The length is spelled out: -1 cannot be resolved on an empty stack.
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
-def unvec(v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Inverse of vec."""
-    v = np.asarray(v).reshape(-1)
-    if n is None:
-        n = int(round(np.sqrt(v.size)))
-    if n * n != v.size:
-        raise DimensionMismatchError(f"cannot unvec length {v.size} into a square matrix")
-    return v.reshape((n, n), order="F")
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of vec: the last axis, of length n^2, becomes an n-by-n matrix
+    filled in column order, so a stack of vectors gives a stack of matrices."""
+    v = np.asarray(v)
+    n = math.isqrt(v.shape[-1]) if v.ndim else 0
+    if v.ndim == 0 or n * n != v.shape[-1]:
+        raise DimensionMismatchError(f"cannot unvec shape {v.shape}: the last axis must have "
+                                     f"a square length")
+    return v.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
 
 
 def from_action(n: int, action) -> SuperOp:
@@ -147,7 +154,7 @@ def apply(s: SuperOp, a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape != (s.n, s.n):
         raise DimensionMismatchError(f"expected a {s.n}x{s.n} matrix, got {a.shape}")
-    return unvec(s.mat @ vec(a), s.n)
+    return unvec(s.mat @ vec(a))
 
 
 def unit_images(s: SuperOp) -> np.ndarray:
@@ -206,10 +213,8 @@ def _rank1_images(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # hermitian_part(unvec(mat @ vec(x x*))) for every row x of xs. The
     # stacked matmul runs one gemv per row, as apply does, so each image
     # equals its apply call bit for bit; a single gemm would not.
-    t, n = xs.shape
     outers = xs[:, :, None] * xs.conj()[:, None, :]
-    out = np.matmul(mat[None], outers.swapaxes(1, 2).reshape(t, n * n, 1))
-    return hermitian_part(out.reshape(t, n, n).swapaxes(1, 2))
+    return hermitian_part(unvec(np.matmul(mat, vec(outers)[..., None])[..., 0]))
 
 
 def _least_eigs(mat: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -168,6 +168,26 @@ class TestInputErrors:
         assert "samples" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_deeply_nested_map_file_exit_two(self, tmp_path, capsys):
+        # Deeper than the JSON parser's recursion limit.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, stdout, err = run_cli(capsys, "analyze", str(deep), "--k", "1")
+        assert code == 2
+        assert stdout == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("where", ["inline", "file"])
+    def test_deeply_nested_spec_exit_two(self, tmp_path, capsys, where):
+        spec = '{"a": ' * 5000 + "1" + "}" * 5000
+        if where == "file":
+            (tmp_path / "spec.json").write_text(spec)
+            spec = str(tmp_path / "spec.json")
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out.exists()
+
     def test_boolean_dimension_exit_two(self, tmp_path, capsys):
         spec = json.dumps({"family": "wigner", "n": True})
         out = tmp_path / "x.json"

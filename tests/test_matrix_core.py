@@ -9,7 +9,6 @@ from wignerkit import (
     NotAProjectionError,
     NotHermitianError,
     NotUnitaryError,
-    conjugate,
     haar_unitary,
     phase_distance,
     random_hermitian,
@@ -17,11 +16,9 @@ from wignerkit import (
     random_rank_k_projections,
     random_unit_vector,
     require_unitary,
-    spectral_decomp,
-    trace,
-    transpose,
     validate_projection,
 )
+from wignerkit import matrix_core
 from wignerkit.matrix_core import (
     NOT_A_PROJECTION,
     NOT_HERMITIAN,
@@ -29,50 +26,6 @@ from wignerkit.matrix_core import (
     projection_ranks,
     require_seed,
 )
-
-
-class TestSpectralDecomp:
-    def test_diagonal(self):
-        w, v = spectral_decomp(np.diag([0.0, 1.0]))
-        np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-14)
-        # eigenvectors are e_1, e_2 up to phase
-        assert abs(v[0, 0]) == pytest.approx(1.0, abs=1e-14)
-        assert abs(v[1, 1]) == pytest.approx(1.0, abs=1e-14)
-
-    def test_identity(self):
-        w, v = spectral_decomp(np.eye(3))
-        np.testing.assert_allclose(w, np.ones(3), atol=1e-14)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-13)
-
-    def test_pauli_x(self):
-        # characteristic polynomial x^2 - 1 by hand
-        w, _ = spectral_decomp(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            spectral_decomp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            spectral_decomp(np.zeros((2, 3)))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFiniteError):
-            spectral_decomp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_reconstruction_residual(self):
-        # 1000 random Hermitian matrices, n <= 8
-        worst = 0.0
-        for i in range(1000):
-            rng = np.random.default_rng((8, i))
-            n = int(rng.integers(1, 9))
-            h = random_hermitian(n, (8, i, 1))
-            w, v = spectral_decomp(h)
-            res = np.linalg.norm(h - v @ np.diag(w) @ v.conj().T)
-            worst = max(worst, res / max(1.0, np.linalg.norm(h)))
-            assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-11
-        assert worst <= 1e-11
 
 
 class TestValidateProjection:
@@ -99,7 +52,7 @@ class TestValidateProjection:
             n = int(rng.integers(2, 9))
             k = int(rng.integers(1, n))
             p = random_rank_k_projection(n, k, (11, i, 1))
-            assert abs(trace(p.matrix) - p.rank) <= n * p.tol
+            assert abs(np.trace(p.matrix) - p.rank) <= n * p.tol
 
     def test_idempotency_recheck_outlasts_spectral_test(self):
         # Every eigenvalue is 1 + 0.99 tol, within tol of 1, but at n = 120
@@ -122,7 +75,7 @@ class TestValidateProjection:
         with pytest.raises(BadParameterError):
             validate_projection(np.eye(2), tol)
         with pytest.raises(BadParameterError):
-            random_rank_k_projections(3, 1, [0, 1], tol)
+            projection_ranks(np.eye(2)[None], tol)
 
     def test_stack_matches_one_matrix_calls(self):
         ms = np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([0.95, 0.05, 0.0]),
@@ -174,7 +127,7 @@ class TestHaarUnitary:
 class TestRandomProjection:
     def test_trace_is_rank(self):
         p = random_rank_k_projection(5, 3, seed=1)
-        assert abs(trace(p.matrix) - 3.0) <= 1e-12
+        assert abs(np.trace(p.matrix) - 3.0) <= 1e-12
         assert p.rank == 3
 
     @pytest.mark.parametrize("k", [0, 2, 5])
@@ -187,35 +140,19 @@ class TestRandomProjection:
         b = random_rank_k_projection(4, 2, seed=1).matrix
         assert np.linalg.norm(a - b) > 0.0
 
-    def test_uncertifiable_draw_raises(self):
-        # At tol = 1e-20 float rounding in U U* already fails the certificate.
+    def test_uncertifiable_draw_raises(self, monkeypatch):
+        # A sampler that draws (1 + 1e-6 seed) I: from seed 1 on, V V* has
+        # eigenvalues 1 + 2e-6, farther than DEFAULT_PROJECTION_TOL from 1.
+        def scaled_identities(n, seeds):
+            return np.stack([(1.0 + 1e-6 * seed) * np.eye(n, dtype=complex) for seed in seeds])
+
+        monkeypatch.setattr(matrix_core, "_haar_unitaries", scaled_identities)
+        np.testing.assert_array_equal(random_rank_k_projections(4, 2, [0]),
+                                      [np.diag([1.0, 1.0, 0.0, 0.0])])
         with pytest.raises(NotAProjectionError):
-            random_rank_k_projections(4, 2, [1, 2], tol=1e-20)
+            random_rank_k_projections(4, 2, [0, 1])
         with pytest.raises(NotAProjectionError):
-            random_rank_k_projection(4, 2, 1, tol=1e-20)
-
-
-class TestElementwiseOps:
-    def test_trace_identity(self):
-        assert trace(np.eye(3)) == 3.0
-
-    def test_transpose_example(self):
-        np.testing.assert_array_equal(
-            transpose(np.array([[0.0, 1.0], [0.0, 0.0]])),
-            np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    def test_trace_pap_is_corner_entry(self):
-        # (a x, x) = tr(p a p) for p the projection onto x; here x = e_1
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        p = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert trace(p @ a @ p) == pytest.approx(a[0, 0])
-
-    def test_involutions_exact(self):
-        rng = np.random.default_rng(22)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(transpose(transpose(m)), m)
-        np.testing.assert_array_equal(conjugate(conjugate(m)), m)
+            random_rank_k_projection(4, 2, 1)
 
 
 class TestPhaseDistance:

@@ -99,6 +99,27 @@ class TestVec:
         with pytest.raises(DimensionMismatchError):
             unvec(np.arange(5.0))
 
+    @pytest.mark.parametrize("call", [lambda: vec(np.arange(4.0)), lambda: vec(1.0),
+                                      lambda: unvec(1.0)], ids=["vec-1d", "vec-0d", "unvec-0d"])
+    def test_too_few_axes_rejected(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (0, 3, 3)])
+    def test_stack_matches_one_matrix_reshapes(self, shape):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stack = a.reshape(-1, 3, 3)
+        v = vec(a)
+        assert v.shape == shape[:-2] + (9,)
+        np.testing.assert_array_equal(
+            v.reshape(-1, 9), np.reshape([m.reshape(-1, order="F") for m in stack], (-1, 9)))
+        back = unvec(v)
+        assert back.shape == shape
+        np.testing.assert_array_equal(
+            back.reshape(-1, 3, 3),
+            np.reshape([w.reshape((3, 3), order="F") for w in v.reshape(-1, 9)], (-1, 3, 3)))
+
 
 class TestApply:
     def test_identity_superop(self):
