@@ -13,6 +13,7 @@ Families (column-stacking superoperators throughout):
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,15 @@ def _require_param(params: dict, key: str) -> float:
     value = params[key]
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not is_finite_float(value)):
-        raise BadParameterError(f"family parameter {key}={value!r} must be a finite real number")
+        raise BadParameterError(f"family parameter {key}={_clipped_repr(value)} "
+                                f"({type(value).__name__}) must be a finite real number")
     return float(value)
+
+
+def _clipped_repr(value) -> str:
+    # reprlib bounds the work on long or nested values, the clip the length.
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def expected_flags(name: str, n: int, params: dict | None, k: int) -> MapFamily:

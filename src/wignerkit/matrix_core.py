@@ -121,23 +121,47 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
     """Certify each matrix of a stack as a projection and count its rank.
 
     A matrix m is certified when ||m - m*||_F <= tol max(1, ||m||_F), every
-    eigenvalue lies within tol of {0, 1}, and the re-check ||m^2 - m||_F,
-    ||m - m*||_F <= 10 tol holds. Returns (ranks, residuals): residuals[t]
-    is ||m_t^2 - m_t||_F, ranks[t] counts the eigenvalues of a certified m_t
-    within tol of 1 and is NOT_HERMITIAN or NOT_A_PROJECTION otherwise.
+    eigenvalue of its Hermitian part h lies within tol of {0, 1}, and the
+    re-check ||m^2 - m||_F, ||m - m*||_F <= 10 tol holds. Returns (ranks,
+    residuals): residuals[t] is ||m_t^2 - m_t||_F, ranks[t] counts the
+    eigenvalues of a certified m_t within tol of 1 and is NOT_HERMITIAN or
+    NOT_A_PROJECTION otherwise.
+
+    Most matrices need no eigensolve. With s = ||m - m*||_F, r = ||m^2 - m||_F
+    and N = ||m||_F, write m = h + a, h the Hermitian part, so ||a||_F = s/2,
+    ||h||_F <= N and h^2 - h = (m^2 - m) - (ha + ah) - a^2 + a. Hence
+    ||h^2 - h||_2 <= b = r + s (N + 1/2) + s^2/4. Each eigenvalue w of h has
+    |w| |w - 1| <= b and max(|w|, |w - 1|) >= 1/2, so w lies within 2b of
+    {0, 1}. If 4b <= tol, tol + 2b < 1 and 2nb < 1/2, every eigenvalue is
+    within tol/2 of exactly one of 0 and 1, and the rank is the integer
+    nearest tr h = Re tr m. b also carries 16 n eps (N + 1)^2, a margin for
+    the rounding in r, s, N and the trace and for an eigensolve's backward
+    error, so these ranks are the counts eigvalsh would give. A matrix that
+    fails the re-checks or the Hermiticity test is decided without its
+    spectrum too. Only the rest go to one stacked eigvalsh.
     """
     require_tolerance("tol", tol)
     ms = np.asarray(ms, dtype=complex)
     if not np.all(np.isfinite(ms)):
         raise NonFiniteError("matrix contains NaN or infinite entries")
+    n = ms.shape[-1]
     skew = np.linalg.norm(ms - dagger(ms), axis=(-2, -1))
     residuals = np.linalg.norm(ms @ ms - ms, axis=(-2, -1))
-    w = np.linalg.eigvalsh(hermitian_part(ms))
-    near_one = np.abs(w - 1.0) <= tol
-    ranks = near_one.sum(axis=-1)
-    off_spectrum = ~np.all(near_one | (np.abs(w) <= tol), axis=-1)
-    ranks[off_spectrum | (residuals > 10.0 * tol) | (skew > 10.0 * tol)] = NOT_A_PROJECTION
-    ranks[skew > tol * np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))] = NOT_HERMITIAN
+    size = np.linalg.norm(ms, axis=(-2, -1))
+    bound = (residuals + skew * (size + 0.5) + skew ** 2 / 4
+             + 16 * n * np.finfo(float).eps * (size + 1.0) ** 2)
+    proven = (4.0 * bound <= tol) & (tol + 2.0 * bound < 1.0) & (2.0 * n * bound < 0.5)
+    not_hermitian = skew > tol * np.maximum(1.0, size)
+    not_projection = (residuals > 10.0 * tol) | (skew > 10.0 * tol)
+    traces = np.trace(ms, axis1=-2, axis2=-1).real
+    ranks = np.where(proven, np.rint(traces), NOT_A_PROJECTION).astype(np.intp)
+    rest = ~(proven | not_hermitian | not_projection)
+    if rest.any():
+        w = np.linalg.eigvalsh(hermitian_part(ms[rest]))
+        near_one = np.abs(w - 1.0) <= tol
+        on_spectrum = np.all(near_one | (np.abs(w) <= tol), axis=-1)
+        ranks[rest] = np.where(on_spectrum, near_one.sum(axis=-1), NOT_A_PROJECTION)
+    ranks[not_hermitian] = NOT_HERMITIAN
     return ranks, residuals
 
 
@@ -156,15 +180,16 @@ def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
     return Projection(matrix=m, rank=int(rank), tol=tol)
 
 
-def _haar_unitaries(n: int, seeds) -> np.ndarray:
-    # One Haar unitary per seed, as a stack: each seed fills its own Ginibre
-    # sample from its own stream, then one stacked QR and phase fix serve all.
+def _haar_columns(n: int, k: int, seeds) -> np.ndarray:
+    # The first k columns of one Haar unitary per seed, as a stack: each seed
+    # fills its own n-by-n Ginibre sample from its own stream, then one stacked
+    # QR of the first k columns and one phase fix serve all.
     require_count("n", n, 1)
     g = np.empty((len(seeds), 2, n, n))
     for t, seed in enumerate(seeds):
         require_seed(seed)
         np.random.default_rng(seed).standard_normal(out=g[t])
-    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    z = (g[:, 0, :, :k] + 1j * g[:, 1, :, :k]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
@@ -175,9 +200,10 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
 
     Ginibre sample, QR factorization, then rescale Q's columns so R's
     diagonal is real positive (F. Mezzadri, Notices AMS 54 (2007) 592);
-    plain QR without the rescale is not Haar.
+    plain QR without the rescale is not Haar. It is the k = n case of the
+    column sampler behind random_rank_k_projections.
     """
-    return _haar_unitaries(n, [seed])[0]
+    return _haar_columns(n, n, [seed])[0]
 
 
 def require_unitary(u) -> np.ndarray:
@@ -193,12 +219,17 @@ def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
     """Haar-random rank-k projections U diag(1 x k, 0 x (n-k)) U*, one per seed.
 
     Returns a len(seeds) x n x n stack; draw t depends on seeds[t] alone, so
-    a stack equals its draws made one seed at a time, bit for bit. One
-    projection_ranks call certifies every draw; NotAProjectionError if any
-    is not a rank-k projection within DEFAULT_PROJECTION_TOL.
+    a stack equals its draws made one seed at a time, bit for bit. V holds the
+    first k columns of haar_unitary(n, seed), found by a QR of the first k
+    Ginibre columns alone: Householder QR builds column j of Q and R[j, j]
+    from Ginibre columns 0..j only, so they equal the full QR's (the tests
+    pin that bit for bit up to n = 64), while each stream still draws all
+    2 n^2 normals. One projection_ranks call certifies every draw;
+    NotAProjectionError if any is not a rank-k projection within
+    DEFAULT_PROJECTION_TOL.
     """
     require_rank(k, n)
-    v = _haar_unitaries(n, seeds)[..., :k]
+    v = _haar_columns(n, k, seeds)
     ms = v @ dagger(v)
     ranks, _ = projection_ranks(ms)
     if np.any(ranks != k):

@@ -241,6 +241,20 @@ class TestInputErrors:
         assert err.startswith("error: family parameter lambda=") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [list(range(10**4)), [[[[[[0] * 6] * 6] * 6] * 6] * 6]],
+                             ids=["long_list", "nested_lists"])
+    def test_bad_family_parameter_is_not_echoed_whole(self, tmp_path, capsys, value):
+        # Unchecked, the whole value is echoed: 58,890 characters for the
+        # list. The nested lists stay within reprlib's six levels, so its repr
+        # alone still runs to 26,438 characters.
+        out = tmp_path / "x.json"
+        spec = json.dumps({"family": "depolarizing", "n": 2, "params": {"lambda": value}})
+        code, _, err = run_cli(capsys, "generate", "--spec", spec, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: family parameter lambda=[") and "(list)" in err
+        assert len(err) < 200
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", [65, 10**6])
     def test_dimension_above_ceiling_exit_two(self, tmp_path, capsys, n):
         # Unchecked, n = 10**6 ends in a MemoryError traceback from the Haar draw.

@@ -86,6 +86,26 @@ class TestValidateProjection:
         for m, residual in zip(ms, residuals):
             assert residual == pytest.approx(np.linalg.norm(m @ m - m), abs=1e-15)
 
+    def test_near_projection_falls_back_to_eigvalsh(self, monkeypatch):
+        # diag(1 + x, 1, 0, 0) has residual x (1 + x): at x = tol/2 and 2 tol it
+        # lies between tol/4 and 10 tol, so neither the residual bound nor the
+        # re-check decides, and one eigvalsh of those two finds the rank or
+        # the eigenvalue 2 tol off 1. The exact projection needs no eigensolve.
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(matrix_core.np.linalg, "eigvalsh", recording)
+        tol = 1e-8
+        ms = np.stack([np.diag([1.0 + x, 1.0, 0.0, 0.0]) for x in (tol / 2, 0.0, 2 * tol)])
+        ranks, residuals = projection_ranks(ms, tol)
+        assert tol / 4 < residuals[0] < residuals[2] < 10 * tol
+        assert list(ranks) == [2, 2, NOT_A_PROJECTION]
+        assert calls == [(2, 4, 4)]
+
     def test_certificate_bounds(self):
         for i in range(50):
             rng = np.random.default_rng((12, i))
@@ -141,12 +161,14 @@ class TestRandomProjection:
         assert np.linalg.norm(a - b) > 0.0
 
     def test_uncertifiable_draw_raises(self, monkeypatch):
-        # A sampler that draws (1 + 1e-6 seed) I: from seed 1 on, V V* has
-        # eigenvalues 1 + 2e-6, farther than DEFAULT_PROJECTION_TOL from 1.
-        def scaled_identities(n, seeds):
-            return np.stack([(1.0 + 1e-6 * seed) * np.eye(n, dtype=complex) for seed in seeds])
+        # A sampler whose V is the first k columns of (1 + 1e-6 seed) I: from
+        # seed 1 on, V V* has eigenvalues 1 + 2e-6, farther than
+        # DEFAULT_PROJECTION_TOL from 1.
+        def scaled_identity_columns(n, k, seeds):
+            return np.stack([(1.0 + 1e-6 * seed) * np.eye(n, k, dtype=complex)
+                             for seed in seeds])
 
-        monkeypatch.setattr(matrix_core, "_haar_unitaries", scaled_identities)
+        monkeypatch.setattr(matrix_core, "_haar_columns", scaled_identity_columns)
         np.testing.assert_array_equal(random_rank_k_projections(4, 2, [0]),
                                       [np.diag([1.0, 1.0, 0.0, 0.0])])
         with pytest.raises(NotAProjectionError):

@@ -15,7 +15,10 @@ the map and audits the inverse on a second seed stream. The stage derives
 inverse_pass from its forward pass and cond(S) alone, so the old loop is the
 cross-check that the derived predicate agrees with it, map by map.
 `ref_positivity` keeps the projected gradient descent the seesaw replaced,
-as the oracle its minima must reach.
+as the oracle its minima must reach. `ref_projection_ranks` keeps the
+certification that ran eigvalsh on every matrix; projection_ranks proves
+most spectra from the idempotency residual instead, and must give the same
+ranks and residuals bit for bit.
 
 `ref_classify` keeps classify as the public stages ran it before its fitted
 model could certify positivity and invertibility: the Cholesky proofs or the
@@ -27,6 +30,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wignerkit import (
     AnalysisReport,
@@ -58,7 +63,7 @@ from wignerkit import (
     validate_projection,
 )
 from wignerkit import superop
-from wignerkit.matrix_core import derive_seed
+from wignerkit.matrix_core import NOT_A_PROJECTION, NOT_HERMITIAN, derive_seed, projection_ranks
 from wignerkit.serialize import report_to_json
 from wignerkit.wigner import BASIS_SUBSET_CAP, TRANSPOSE
 
@@ -233,18 +238,78 @@ def ref_haar_unitary(n: int, seed) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-@pytest.mark.parametrize("n", (2, 3, 5, 8, 16))
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 16, 32, 64))
 def test_stacked_draws_match_per_seed_draws(n):
+    # The draws QR only their first k Ginibre columns; they must equal the
+    # first k columns of the full QR.
     seeds = [derive_seed((9, n), 0, i) for i in range(12)]
     for seed in seeds:
         assert np.array_equal(haar_unitary(n, seed), ref_haar_unitary(n, seed))
-    for k in sorted({1, n // 2, n - 1}):
+    for k in range(1, n) if n <= 8 else sorted({1, n // 2, n - 1}):
         stack = random_rank_k_projections(n, k, seeds)
         assert stack.shape == (len(seeds), n, n)
         for m, seed in zip(stack, seeds):
             v = ref_haar_unitary(n, seed)[:, :k]
             assert np.array_equal(m, v @ v.conj().T)
             assert np.array_equal(m, random_rank_k_projection(n, k, seed).matrix)
+
+
+def ref_projection_ranks(ms, tol: float):
+    # projection_ranks with one eigvalsh per stack and no spectrum proof.
+    ms = np.asarray(ms, dtype=complex)
+    skew = np.linalg.norm(ms - ms.conj().swapaxes(-1, -2), axis=(-2, -1))
+    residuals = np.linalg.norm(ms @ ms - ms, axis=(-2, -1))
+    w = np.linalg.eigvalsh((ms + ms.conj().swapaxes(-1, -2)) / 2)
+    near_one = np.abs(w - 1.0) <= tol
+    ranks = near_one.sum(axis=-1)
+    off_spectrum = ~np.all(near_one | (np.abs(w) <= tol), axis=-1)
+    ranks[off_spectrum | (residuals > 10.0 * tol) | (skew > 10.0 * tol)] = NOT_A_PROJECTION
+    ranks[skew > tol * np.maximum(1.0, np.linalg.norm(ms, axis=(-2, -1)))] = NOT_HERMITIAN
+    return ranks, residuals
+
+
+NOISE_LEVELS = (1 / 8, 1 / 4, 1.0, 10.0, 100.0)
+
+
+def noisy_projections(n: int, count: int, tol: float, hermitian: bool, scale: float, seed):
+    # Haar projections of every rank 0..n, times scale, plus noise whose
+    # Frobenius norm is tol times a level from NOISE_LEVELS.
+    rng = np.random.default_rng(seed)
+    ms = []
+    for t in range(count):
+        v = haar_unitary(n, derive_seed(seed, t))[:, :int(rng.integers(0, n + 1))]
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if hermitian:
+            e = e + e.conj().T
+        e *= tol * NOISE_LEVELS[t % len(NOISE_LEVELS)] / np.linalg.norm(e)
+        ms.append(scale * (v @ v.conj().T) + e)
+    return np.array(ms, dtype=complex).reshape(count, n, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 16), count=st.integers(0, 6),
+       tol=st.floats(-12.0, np.log10(0.9)).map(lambda e: 10.0 ** e),
+       hermitian=st.booleans(),
+       scale=st.sampled_from([1.0, 1e-3, 0.5, 1 + 1e-9, 2.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_projection_ranks_match_eigvalsh_everywhere(n, count, tol, hermitian, scale, seed):
+    ms = noisy_projections(n, count, tol, hermitian, scale, seed)
+    ranks, residuals = projection_ranks(ms, tol)
+    want_ranks, want_residuals = ref_projection_ranks(ms, tol)
+    assert np.array_equal(ranks, want_ranks)
+    assert np.array_equal(residuals, want_residuals)
+
+
+@pytest.mark.parametrize("n,count", [(64, len(NOISE_LEVELS)), (4, 0)], ids=["n64", "empty"])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_projection_ranks_match_eigvalsh_at_the_extremes(n, count, hermitian):
+    for tol in (1e-12, 1e-8, 0.9):
+        ms = noisy_projections(n, count, tol, hermitian, 1.0, (n, count))
+        ranks, residuals = projection_ranks(ms, tol)
+        want_ranks, want_residuals = ref_projection_ranks(ms, tol)
+        assert ranks.shape == (count,)
+        assert np.array_equal(ranks, want_ranks)
+        assert np.array_equal(residuals, want_residuals)
 
 
 POSITIVITY_MAPS = {

@@ -39,7 +39,7 @@ from wignerkit import (
     vector_state_partner,
     wigner_map,
 )
-from wignerkit import superop, wigner
+from wignerkit import matrix_core, superop, wigner
 from wignerkit.matrix_core import derive_seed
 from wignerkit.superop import SuperOp
 
@@ -510,6 +510,36 @@ class TestModelCertificate:
             rep = classify(s, 2, ClassifyConfig(samples=5, restarts=3))
             assert rep.delta is None and rep.epsilon is None
             assert rep.positivity.proof == proof
+
+
+class TestAuditEigensolves:
+    # projection_ranks proves the spectra of the Haar draws and of projection
+    # images from their residuals, and decides images far from a projection
+    # by the residual alone, so the audit needs no eigensolve.
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+
+        def refuse(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            raise AssertionError("matrix_core called eigvalsh")
+
+        monkeypatch.setattr(matrix_core.np.linalg, "eigvalsh", refuse)
+        return calls
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_accept_at_n16_makes_no_eigensolve(self, eigvalsh_calls, variant):
+        rep = classify(wigner_map(haar_unitary(16, 17), variant), 8, ClassifyConfig(seed=5))
+        assert eigvalsh_calls == []
+        assert rep.verdict == "wigner" and rep.form.variant == variant
+        assert rep.rank_k_audit.pass_fraction == 1.0 and rep.rank_k_audit.inverse_pass
+
+    @pytest.mark.parametrize("s", [depolarizing(8, 0.5), pseudo_depolarizing(8, 0.1)],
+                             ids=["depolarizing", "pseudo_depolarizing"])
+    def test_reject_makes_no_eigensolve(self, eigvalsh_calls, s):
+        rep = classify(s, 3, ClassifyConfig(seed=5))
+        assert eigvalsh_calls == []
+        assert rep.verdict != "wigner" and rep.rank_k_audit.pass_fraction < 1.0
 
 
 @pytest.mark.parametrize("value", [1.5, True, "2"])
