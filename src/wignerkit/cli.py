@@ -16,7 +16,7 @@ import sys
 from . import selftest
 from .errors import BadParameterError, SerializationError, WignerkitError
 from .genmaps import build_map
-from .matrix_core import MAX_DIMENSION, haar_unitary
+from .matrix_core import MAX_DIMENSION, MAX_DRAWS, haar_unitary
 from .serialize import (
     dumps,
     family_spec_from_json,
@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a superoperator file")
     p.add_argument("file", help="superoperator JSON file")
     p.add_argument("--k", type=int, required=True, help="projection rank to audit")
-    p.add_argument("--samples", type=int, default=100, help="random projections per audit")
+    p.add_argument("--samples", type=int, default=100,
+                   help=f"random projections per audit, at most {MAX_DRAWS}")
     p.add_argument("--seed", type=int, default=None, help="audit RNG seed")
     p.add_argument("--tol", type=float, default=None,
                    help="override the whole tolerance ladder with one value")

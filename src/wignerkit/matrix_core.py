@@ -33,13 +33,21 @@ UNITARY_TOL = 1e-12
 # superoperators take 268 MB at n = 64.
 MAX_DIMENSION = 64
 
+# The most seeded draws one call stacks: rank-k audit samples or positivity
+# restarts. Each holds a few n-by-n complex matrices at once (the audit
+# about five per sample: normals, draw, image and projection_ranks'
+# temporaries, 0.35 MB at n = 64), so 1000 draws take about 0.35 GB at
+# n = 64, and a count of 10^9 would end in a MemoryError.
+MAX_DRAWS = 1000
 
-def require_count(name: str, value, least: int | None = None):
+
+def require_count(name: str, value, least: int | None = None, most: int | None = None):
     """Raise BadParameterError unless value is an integer (booleans are not),
-    and >= least when least is given."""
+    >= least when least is given and <= most when most is given."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or (least is not None and value < least)):
+            or (least is not None and value < least) or (most is not None and value > most)):
         bound = "" if least is None else f" >= {least}"
+        bound += "" if most is None else f"{' and' if bound else ''} <= {most}"
         raise BadParameterError(f"{name}={value!r} must be an integer{bound}")
 
 
@@ -180,15 +188,105 @@ def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
     return Projection(matrix=m, rank=int(rank), tol=tol)
 
 
-def _haar_columns(n: int, k: int, seeds) -> np.ndarray:
-    # The first k columns of one Haar unitary per seed, as a stack: each seed
-    # fills its own n-by-n Ginibre sample from its own stream, then one stacked
-    # QR of the first k columns and one phase fix serve all.
-    require_count("n", n, 1)
-    g = np.empty((len(seeds), 2, n, n))
-    for t, seed in enumerate(seeds):
-        require_seed(seed)
-        np.random.default_rng(seed).standard_normal(out=g[t])
+# The constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier, which _standard_normals reproduces.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _entropy_words(seed) -> list[int]:
+    # SeedSequence's entropy as uint32 words: each int, 0 included, split into
+    # 32-bit words, least significant first; a tuple or list concatenates
+    # the words of its entries.
+    words = []
+    for entry in seed if isinstance(seed, (tuple, list)) else (seed,):
+        entry = int(entry)
+        words.append(entry & _MASK32)
+        while entry := entry >> 32:
+            words.append(entry & _MASK32)
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # The hash constant before and after each of count successive hashes.
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    return consts[:-1], consts[1:]
+
+
+def _standard_normals(seeds, shape) -> np.ndarray:
+    """Row t is np.random.default_rng(seeds[t]).standard_normal(shape), bit for bit.
+
+    default_rng(seed) is Generator(PCG64(SeedSequence(seed))), and nearly all
+    of its cost is the SeedSequence. This runs SeedSequence's hashing for
+    every seed at once, as uint32 arithmetic on one row per seed: the pool of
+    4 words (mix_entropy), then generate_state(4, np.uint64). PCG64 seeds
+    itself from those words (a, b, c, d) as inc = 2 (c 2^64 + d) + 1 and
+    state = ((inc + a 2^64 + b) M + inc), both mod 2^128, M its LCG
+    multiplier. One PCG64 and one Generator, made for this call alone (a
+    shared one would not be thread-safe), then take each stream's state in
+    turn and draw from it. NumPy keeps both algorithms stable (NEP 19), and
+    the tests pin the streams to default_rng's. Seeds must be valid already.
+    """
+    out = np.empty((len(seeds), *shape))
+    if not len(seeds):
+        return out
+    words = [_entropy_words(seed) for seed in seeds]
+    lengths = np.array([len(w) for w in words])
+    width = max(4, int(lengths.max()))
+    entropy = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32)
+    # Every row runs the same sequence of hashes, so one list of constants
+    # serves all: 4 to fill the pool, 12 to mix it, 4 per word beyond it.
+    before, after = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
+
+    def hashmix(values, j, count):
+        v = (values ^ before[j:j + count]) * after[j:j + count]
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        v = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return v ^ (v >> np.uint32(16))
+
+    # A seed of fewer than 4 words hashes zeros in their place.
+    pool = hashmix(entropy[:, :4], 0, 4)
+    j = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], j, 3))
+        j += 3
+    # Words beyond the pool mix into every pool word; shorter seeds stop earlier.
+    for src in range(4, width):
+        mixed = mix(pool, hashmix(entropy[:, src, None], j, 4))
+        pool = np.where((lengths > src)[:, None], mixed, pool)
+        j += 4
+    # generate_state: 8 words hashed from the pool cycled twice, read as 4
+    # little-endian uint64.
+    before, after = _hash_constants(_INIT_B, _MULT_B, 8)
+    v = (np.tile(pool, 2) ^ before) * after
+    seeded = (v ^ (v >> np.uint32(16))).astype("<u4").view("<u8").tolist()
+
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for row, (a, b, c, d) in zip(out, seeded):
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        state = ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=row)
+    return out
+
+
+def _haar_columns(k: int, g: np.ndarray) -> np.ndarray:
+    # The first k columns of one Haar unitary per Ginibre sample: g[t] holds
+    # the real and imaginary parts of sample t as a 2 x n x n block of
+    # standard normals. One stacked QR of the first k columns and one phase
+    # fix serve all.
     z = (g[:, 0, :, :k] + 1j * g[:, 1, :, :k]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -203,7 +301,9 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     plain QR without the rescale is not Haar. It is the k = n case of the
     column sampler behind random_rank_k_projections.
     """
-    return _haar_columns(n, n, [seed])[0]
+    require_count("n", n, 1)
+    require_seed(seed)
+    return _haar_columns(n, np.random.default_rng(seed).standard_normal((1, 2, n, n)))[0]
 
 
 def require_unitary(u) -> np.ndarray:
@@ -224,12 +324,22 @@ def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
     Ginibre columns alone: Householder QR builds column j of Q and R[j, j]
     from Ginibre columns 0..j only, so they equal the full QR's (the tests
     pin that bit for bit up to n = 64), while each stream still draws all
-    2 n^2 normals. One projection_ranks call certifies every draw;
+    2 n^2 normals. The streams come from _standard_normals, which seeds all
+    of them in one pass and equals np.random.default_rng(seed) stream by
+    stream. One projection_ranks call certifies every draw;
     NotAProjectionError if any is not a rank-k projection within
     DEFAULT_PROJECTION_TOL.
     """
+    require_count("n", n, 1)
     require_rank(k, n)
-    v = _haar_columns(n, k, seeds)
+    for seed in seeds:
+        require_seed(seed)
+    return _rank_k_projections(k, _standard_normals(seeds, (2, n, n)))
+
+
+def _rank_k_projections(k: int, g: np.ndarray) -> np.ndarray:
+    # random_rank_k_projections on a drawn Ginibre stack.
+    v = _haar_columns(k, g)
     ms = v @ dagger(v)
     ranks, _ = projection_ranks(ms)
     if np.any(ranks != k):
@@ -239,9 +349,13 @@ def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
 
 
 def random_rank_k_projection(n: int, k: int, seed=0) -> Projection:
-    """Haar-random rank-k projection: random_rank_k_projections for one seed."""
-    return Projection(matrix=random_rank_k_projections(n, k, [seed])[0], rank=k,
-                      tol=DEFAULT_PROJECTION_TOL)
+    """Haar-random rank-k projection: random_rank_k_projections for one seed,
+    drawn from np.random.default_rng(seed) itself."""
+    require_count("n", n, 1)
+    require_rank(k, n)
+    require_seed(seed)
+    g = np.random.default_rng(seed).standard_normal((1, 2, n, n))
+    return Projection(matrix=_rank_k_projections(k, g)[0], rank=k, tol=DEFAULT_PROJECTION_TOL)
 
 
 def random_hermitian(n: int, seed=0) -> np.ndarray:

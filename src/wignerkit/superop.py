@@ -22,6 +22,8 @@ from .errors import (
     SingularMapError,
 )
 from .matrix_core import (
+    MAX_DRAWS,
+    _standard_normals,
     as_matrix,
     dagger,
     frobenius,
@@ -281,11 +283,12 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     streams derived from (seed, restart index), so the result is
     deterministic for a fixed (seed, restarts).
 
-    Raises BadParameterError for a bad count, tolerance or seed, and
+    Raises BadParameterError for a bad count, tolerance or seed (restarts
+    is at most MAX_DRAWS, 1000, since the restarts are rows of stacks), and
     NotHermiticityPreservingError unless the map preserves Hermiticity
     within max(tol, 1e-10).
     """
-    require_count("restarts", restarts, 1)
+    require_count("restarts", restarts, 1, MAX_DRAWS)
     require_count("max_iters", max_iters, 0)
     require_tolerance("tol", tol)
     require_seed(seed)
@@ -334,7 +337,14 @@ def _seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float,
     # last iteration; live lists the restarts still running.
     adj = dagger(s.mat)
     gtol = max(1e-12, 1e-2 * tol)
-    x = np.array([random_unit_vector(s.n, derive_seed(seed, r)) for r in range(restarts)])
+    # Restart r starts at random_unit_vector(n, derive_seed(seed, r)): its two
+    # standard_normal(n) draws are one (2, n) draw from the same stream, and
+    # _standard_normals seeds every stream in one pass, equal to
+    # default_rng's. Each start is normalized on its own, as a stacked norm
+    # rounds differently.
+    prefix = derive_seed(seed)
+    g = _standard_normals([prefix + (r,) for r in range(restarts)], (2, s.n))
+    x = np.array([z / np.linalg.norm(z) for z in g[:, 0] + 1j * g[:, 1]])
     f, y = _least_eigs(s.mat, x)
     iterations = np.zeros(restarts, dtype=int)
     fall = np.full(restarts, np.inf)

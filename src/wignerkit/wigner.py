@@ -25,13 +25,15 @@ from .errors import (
 )
 from .matrix_core import (
     DEFAULT_PROJECTION_TOL,
+    MAX_DRAWS,
     Projection,
+    _rank_k_projections,
+    _standard_normals,
     dagger,
     derive_seed,
     frobenius,
     hermitian_part,
     projection_ranks,
-    random_rank_k_projections,
     require_count,
     require_rank,
     require_seed,
@@ -146,7 +148,9 @@ class ClassifyConfig:
     model violation: projection validation 1e-8, decomposition acceptance
     1e-6, certified-pass reporting 1e-9. Frozen, so every field has passed
     __post_init__'s checks; with_tolerance and dataclasses.replace make
-    changed copies."""
+    changed copies. samples and restarts are at most matrix_core.MAX_DRAWS
+    (1000): the audit and the search stack a few n-by-n matrices per draw,
+    about 0.35 GB at the ceiling and n = 64."""
 
     samples: int = 100
     restarts: int = 50
@@ -158,8 +162,9 @@ class ClassifyConfig:
     decomposition_tol: float = 1e-6
 
     def __post_init__(self):
-        for name, least in (("samples", 0), ("restarts", 1), ("max_iters", 0)):
-            require_count(name, getattr(self, name), least)
+        for name, least, most in (("samples", 0, MAX_DRAWS), ("restarts", 1, MAX_DRAWS),
+                                  ("max_iters", 0, None)):
+            require_count(name, getattr(self, name), least, most)
         for name in ("unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"):
             require_tolerance(name, getattr(self, name))
         require_seed(self.seed)
@@ -218,10 +223,12 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     dimension 2k(n-k), into themselves is onto by invariance of domain
     (Brouwer, 1912). So inverse_pass is pass_fraction == 1 and
     is_invertible(s), and cond(S) is computed only when every sample passed.
+    samples is at most MAX_DRAWS (1000), since the draws and their images
+    are held as stacks; BadParameterError otherwise.
     """
     n = s.n
     require_rank(k, n)
-    require_count("samples", samples, 0)
+    require_count("samples", samples, 0, MAX_DRAWS)
     require_tolerance("tol", tol)
     require_seed(seed)
     return _audit_rank_k(s, k, samples, tol, seed)
@@ -237,7 +244,9 @@ def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
     basis = np.zeros((len(subsets), n, n), dtype=complex)
     basis[np.arange(len(subsets))[:, None], subsets, subsets] = 1.0
 
-    draws = random_rank_k_projections(n, k, [derive_seed(seed, 0, i) for i in range(samples)])
+    prefix = derive_seed(seed, 0)
+    draws = _rank_k_projections(
+        k, _standard_normals([prefix + (i,) for i in range(samples)], (2, n, n)))
     tests = np.concatenate([basis, draws])
     # images[t] = sum_ij tests[t, i, j] phi(E_ij), one contraction for the stack.
     images = np.tensordot(tests, unit_images(s), axes=2)

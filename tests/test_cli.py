@@ -18,6 +18,7 @@ from wignerkit import (
 )
 from wignerkit.cli import main
 from wignerkit.serialize import dumps, matrix_to_json, superop_to_json
+from wignerkit.matrix_core import MAX_DRAWS
 from wignerkit.superop import MAX_ENTRY
 
 
@@ -164,6 +165,25 @@ class TestInputErrors:
         run_cli(capsys, "generate", "--spec", spec, "--out", str(mapfile))
         code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "2",
                                     "--samples", "-5", "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert "samples" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("samples", [MAX_DRAWS + 1, 10**9])
+    def test_oversized_samples_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                          samples):
+        # Unchecked, 10^9 samples would allocate a 2 x n x n stack of normals each.
+        import wignerkit.wigner
+
+        def stage(*args, **kwargs):
+            raise AssertionError("a classify stage ran")
+
+        monkeypatch.setattr(wignerkit.wigner, "is_unital", stage)
+        mapfile = tmp_path / "m.json"
+        spec = json.dumps({"family": "wigner", "n": 4, "params": {}, "seed": 1})
+        run_cli(capsys, "generate", "--spec", spec, "--out", str(mapfile))
+        code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "1",
+                                    "--samples", str(samples), "--out", str(tmp_path / "r.json"))
         assert code == 2
         assert "samples" in err
         assert not (tmp_path / "r.json").exists()

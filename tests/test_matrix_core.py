@@ -161,18 +161,23 @@ class TestRandomProjection:
         assert np.linalg.norm(a - b) > 0.0
 
     def test_uncertifiable_draw_raises(self, monkeypatch):
-        # A sampler whose V is the first k columns of (1 + 1e-6 seed) I: from
-        # seed 1 on, V V* has eigenvalues 1 + 2e-6, farther than
-        # DEFAULT_PROJECTION_TOL from 1.
-        def scaled_identity_columns(n, k, seeds):
-            return np.stack([(1.0 + 1e-6 * seed) * np.eye(n, k, dtype=complex)
-                             for seed in seeds])
+        # A column sampler whose V for Ginibre sample t is the first k columns
+        # of (1 + 1e-6 scale[t]) I: where scale[t] >= 1, V V* has eigenvalues
+        # 1 + 2e-6, farther than DEFAULT_PROJECTION_TOL from 1. The stacked
+        # draws scale sample t by t, and the one-seed draw by scale[0].
+        def scaled_identity_columns(scale):
+            def columns(k, g):
+                n = g.shape[-1]
+                return np.stack([(1.0 + 1e-6 * scale[t]) * np.eye(n, k, dtype=complex)
+                                 for t in range(len(g))])
+            return columns
 
-        monkeypatch.setattr(matrix_core, "_haar_columns", scaled_identity_columns)
+        monkeypatch.setattr(matrix_core, "_haar_columns", scaled_identity_columns(range(2)))
         np.testing.assert_array_equal(random_rank_k_projections(4, 2, [0]),
                                       [np.diag([1.0, 1.0, 0.0, 0.0])])
         with pytest.raises(NotAProjectionError):
             random_rank_k_projections(4, 2, [0, 1])
+        monkeypatch.setattr(matrix_core, "_haar_columns", scaled_identity_columns([1]))
         with pytest.raises(NotAProjectionError):
             random_rank_k_projection(4, 2, 1)
 
@@ -191,10 +196,13 @@ class TestPhaseDistance:
 @pytest.mark.parametrize("value", [1.5, True, "2"])
 @pytest.mark.parametrize("call", [
     lambda v: random_rank_k_projections(3, v, [0]),
+    lambda v: random_rank_k_projections(v, 1, [0]),
+    lambda v: random_rank_k_projection(v, 1),
     lambda v: haar_unitary(v),
     lambda v: random_unit_vector(v),
     lambda v: random_hermitian(v),
-], ids=["random_rank_k_projections-k", "haar_unitary-n", "random_unit_vector-n",
+], ids=["random_rank_k_projections-k", "random_rank_k_projections-n",
+        "random_rank_k_projection-n", "haar_unitary-n", "random_unit_vector-n",
         "random_hermitian-n"])
 def test_non_integer_rank_or_dimension_rejected(call, value):
     # Unchecked, 1.5 and "2" end in a bare TypeError and True runs as 1.

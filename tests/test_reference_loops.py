@@ -9,6 +9,8 @@ and the positivity seesaw, whose restarts run in lockstep, change no
 arithmetic, so their references must agree bit for bit. The seesaw's
 reference runs its restarts in lockstep too, since its stop rule compares
 them; with the rule switched off it is the search restart by restart.
+The stacked Haar draws and the seesaw's starts are seeded in one pass;
+their reference is one `np.random.default_rng` per seed.
 
 `ref_rank_k` keeps the inverse audit the stage no longer runs: it inverts
 the map and audits the inverse on a second seed stream. The stage derives
@@ -30,7 +32,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wignerkit import (
@@ -62,8 +64,14 @@ from wignerkit import (
     random_unit_vector,
     validate_projection,
 )
-from wignerkit import superop
-from wignerkit.matrix_core import NOT_A_PROJECTION, NOT_HERMITIAN, derive_seed, projection_ranks
+from wignerkit import superop, wigner
+from wignerkit.matrix_core import (
+    NOT_A_PROJECTION,
+    NOT_HERMITIAN,
+    _standard_normals,
+    derive_seed,
+    projection_ranks,
+)
 from wignerkit.serialize import report_to_json
 from wignerkit.wigner import BASIS_SUBSET_CAP, TRANSPOSE
 
@@ -254,6 +262,68 @@ def test_stacked_draws_match_per_seed_draws(n):
             assert np.array_equal(m, random_rank_k_projection(n, k, seed).matrix)
 
 
+# Seed entries whose words straddle the 32-bit boundaries, and numpy integers.
+SEED_INTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130]) | st.integers(0, 2**130)
+SEED_ENTRIES = (SEED_INTS | st.integers(0, 2**63 - 1).map(np.int64)
+                | st.integers(0, 2**64 - 1).map(np.uint64) | st.integers(0, 255).map(np.uint8))
+SEEDS = SEED_ENTRIES | st.lists(SEED_ENTRIES, max_size=8) | st.lists(
+    SEED_ENTRIES, max_size=8).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds=st.lists(SEEDS, max_size=6), n=st.integers(1, 6), matrices=st.booleans())
+@example(seeds=[], n=3, matrices=True)
+@example(seeds=[(2**40 + 3, 1, 2, 3, 4, 5, 6, 7)], n=2, matrices=False)
+@example(seeds=[0, (), [1], (2**32, 0, 2**130), np.uint64(2**64 - 1)], n=4, matrices=True)
+def test_seeded_streams_equal_default_rng(seeds, n, matrices):
+    # The stacked seeding reproduces SeedSequence and PCG64's seeding: ints
+    # of 1 to 5 words, tuples and lists of 0 to 8 entries (up to 40 words,
+    # so entropy beyond the 4-word pool is mixed in) and mixed lengths in
+    # one stack.
+    shape = (2, n, n) if matrices else (2, n)
+    got = _standard_normals(seeds, shape)
+    assert got.shape == (len(seeds), *shape)
+    for row, seed in zip(got, seeds):
+        assert np.array_equal(row, np.random.default_rng(seed).standard_normal(shape))
+
+
+def test_default_rng_is_pcg64():
+    # _standard_normals reproduces PCG64's seeding: a new default bit
+    # generator in NumPy must fail here, not change the seeded draws.
+    assert type(np.random.default_rng(0).bit_generator) is np.random.PCG64
+
+
+# Seeds whose streams' entropy is more than one word per entry: 2^40 + 3 is
+# two words, and the 5-entry tuple with its stream indices is 8 or more, so
+# it is mixed in beyond SeedSequence's 4-word pool.
+LARGE_SEEDS = (2**40 + 3, (2**40 + 3, 7, 0, 2**33, 5))
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS, ids=("int", "tuple"))
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (8, 5)])
+def test_audit_draws_match_per_seed_draws_at_large_seeds(monkeypatch, n, k, seed):
+    # The audit's draws, recorded as the audit certifies them.
+    drawn = []
+    rank_k_projections = wigner._rank_k_projections
+
+    def recording(k, g):
+        drawn.append(rank_k_projections(k, g))
+        return drawn[-1]
+
+    monkeypatch.setattr(wigner, "_rank_k_projections", recording)
+    s = make_map("perturbed", n, 3)
+    audit = preserves_rank_k(s, k, samples=12, seed=seed)
+    (draws,) = drawn
+    assert len(draws) == 12
+    for i, m in enumerate(draws):
+        v = ref_haar_unitary(n, derive_seed(seed, 0, i))[:, :k]
+        assert np.array_equal(m, v @ v.conj().T)
+    total, fraction, worst, inverse_pass = ref_rank_k(s, k, 12, 1e-8, seed)
+    assert (audit.samples, audit.pass_fraction, audit.inverse_pass) == (total, fraction,
+                                                                        inverse_pass)
+    assert abs(audit.max_residual - worst) <= 1e-12
+
+
 def ref_projection_ranks(ms, tol: float):
     # projection_ranks with one eigvalsh per stack and no spectrum proof.
     ms = np.asarray(ms, dtype=complex)
@@ -404,6 +474,21 @@ def test_positivity_matches_restart_loop(name, restarts, max_iters):
     assert cert.spread == max(values) - min(values)
     if max_iters == 0:
         assert not cert.converged
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS, ids=("int", "tuple"))
+@pytest.mark.parametrize("name", ["choi", "random_hp", "planted"])
+def test_positivity_matches_restart_loop_at_large_seeds(name, seed):
+    s = planted_indefinite(4, 15) if name == "planted" else POSITIVITY_MAPS[name]()
+    cert = positivity_certificate(s, 20, 150, 1e-9, seed)
+    ends = ref_seesaw(s, 20, 150, 1e-9, seed)
+    values = [end[0] for end in ends]
+    _, witness, _, _ = best_end(ends)
+    assert cert.proof == "search"
+    assert cert.min_value == ref_least_eig(s, witness)[0]
+    assert np.array_equal(cert.witness, witness)
+    assert cert.iterations.tolist() == [end[3] for end in ends]
+    assert cert.spread == max(values) - min(values)
 
 
 @pytest.mark.parametrize("name", ["choi", "random_hp"])

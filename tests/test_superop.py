@@ -30,7 +30,7 @@ from wignerkit import (
     vec,
     wigner_map,
 )
-from wignerkit.matrix_core import derive_seed
+from wignerkit.matrix_core import MAX_DRAWS, derive_seed
 from wignerkit.superop import MAX_ENTRY
 
 
@@ -283,6 +283,10 @@ class TestPositivity:
     def test_requires_a_restart(self):
         with pytest.raises(BadParameterError):
             positivity_certificate(depolarizing(2, 0.5), restarts=0)
+
+    def test_restarts_above_ceiling_rejected(self):
+        with pytest.raises(BadParameterError, match="restarts"):
+            positivity_certificate(depolarizing(2, 0.5), restarts=MAX_DRAWS + 1)
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": float("nan")}, {"tol": -1e-9}, {"seed": 1.5},

@@ -40,7 +40,7 @@ from wignerkit import (
     wigner_map,
 )
 from wignerkit import matrix_core, superop, wigner
-from wignerkit.matrix_core import derive_seed
+from wignerkit.matrix_core import MAX_DRAWS, derive_seed
 from wignerkit.superop import SuperOp
 
 
@@ -117,6 +117,10 @@ class TestPreservesRankK:
     def test_negative_samples_rejected(self):
         with pytest.raises(BadParameterError):
             preserves_rank_k(transpose_superop(3), 1, samples=-5)
+
+    def test_samples_above_ceiling_rejected(self):
+        with pytest.raises(BadParameterError, match="samples"):
+            preserves_rank_k(transpose_superop(3), 1, samples=MAX_DRAWS + 1)
 
     @pytest.mark.parametrize("kwargs", [{"tol": float("nan")}, {"tol": 0.0}, {"samples": 2.5},
                                         {"seed": -1}, {"seed": 1.5, "samples": 0}])
@@ -410,6 +414,14 @@ class TestClassify:
     def test_config_rejects_bad_counts(self, field, value):
         with pytest.raises(BadParameterError):
             ClassifyConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["samples", "restarts"])
+    def test_config_counts_have_a_ceiling(self, field):
+        # The audit and the seesaw allocate per sample and per restart.
+        for value in (MAX_DRAWS + 1, np.int64(10**9)):
+            with pytest.raises(BadParameterError, match=f"{field}.*<= {MAX_DRAWS}"):
+                ClassifyConfig(**{field: value})
+        assert getattr(ClassifyConfig(**{field: MAX_DRAWS}), field) == MAX_DRAWS
 
     def test_config_is_frozen(self):
         # A field set after construction would skip __post_init__'s checks.
