@@ -22,11 +22,9 @@ from .errors import (
 )
 from .genmaps import (
     FAMILIES,
-    MapFamily,
     build_map,
     choi_map,
     depolarizing,
-    expected_flags,
     perturbed_wigner,
     planted_indefinite,
     pseudo_depolarizing,

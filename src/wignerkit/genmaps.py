@@ -14,7 +14,6 @@ Families (column-stacking superoperators throughout):
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,31 +27,13 @@ from .matrix_core import (
     random_hermitian,
     random_unit_vector,
     require_count,
-    require_rank,
+    require_seed,
     require_unitary,
 )
 from .superop import ChoiMatrix, SuperOp, from_action, from_choi, vec
 from .wigner import DIRECT, TRANSPOSE
 
 FAMILIES = ("wigner", "depolarizing", "pseudo_depolarizing", "perturbed_wigner")
-
-
-@dataclass
-class MapFamily:
-    """A generator instance with its expected audit outcomes.
-
-    expected holds {unital, positive, rank_k_preserving, wigner}; a wigner
-    map necessarily satisfies the other three.
-    """
-
-    name: str
-    parameters: dict
-    expected: dict
-
-    def __post_init__(self):
-        if self.expected.get("wigner") and not all(
-                self.expected.get(key) for key in ("unital", "positive", "rank_k_preserving")):
-            raise BadParameterError("wigner flag requires all three hypothesis flags")
 
 
 def _transpose_columns(n: int) -> np.ndarray:
@@ -162,7 +143,9 @@ def planted_indefinite(n: int, seed=0) -> SuperOp:
 
 
 def build_map(name: str, n: int, params: dict | None = None, seed=0) -> SuperOp:
-    """Construct a family member from its generator spec fields."""
+    """Construct a family member from its generator spec fields. The seed is
+    checked for every family, though only the two Wigner families draw from it."""
+    require_seed(seed)
     params = params or {}
     if name == "wigner":
         return wigner_map(haar_unitary(n, derive_seed(seed, 0)),
@@ -194,27 +177,3 @@ def _clipped_repr(value) -> str:
     text = reprlib.repr(value)
     return text if len(text) <= 60 else text[:57] + "..."
 
-
-def expected_flags(name: str, n: int, params: dict | None, k: int) -> MapFamily:
-    """Ground-truth audit outcomes for a family member at audit rank k."""
-    require_count("n", n)
-    require_rank(k, n)
-    params = dict(params or {})
-    if name == "wigner":
-        flags = {"unital": True, "positive": True, "rank_k_preserving": True}
-    elif name == "depolarizing":
-        lam = _require_param(params, "lambda")
-        flags = {"unital": True, "positive": True, "rank_k_preserving": lam == 1.0}
-    elif name == "pseudo_depolarizing":
-        mu = _require_param(params, "mu")
-        # mu = 1 on n = 2k sends Q to I - Q, again a rank-k projection; for
-        # n = 2 that map is U a^t U* with U = [[0, -1], [1, 0]].
-        flags = {"unital": True, "positive": mu <= 1.0 / (n - 1) + 1e-12,
-                 "rank_k_preserving": mu == 1.0 and n == 2 * k}
-    elif name == "perturbed_wigner":
-        exact = _require_param(params, "epsilon") == 0.0
-        flags = {"unital": exact, "positive": True, "rank_k_preserving": exact}
-    else:
-        raise BadParameterError(f"unknown family {name!r}; expected one of {FAMILIES}")
-    flags["wigner"] = flags["unital"] and flags["positive"] and flags["rank_k_preserving"]
-    return MapFamily(name=name, parameters=params, expected=flags)

@@ -65,9 +65,18 @@ def require_tolerance(name: str, value):
         raise BadParameterError(f"{name}={value} must be finite and positive")
 
 
+def as_complex(entries) -> np.ndarray:
+    """np.asarray(entries, dtype=complex), with entries that are not numbers
+    in a rectangular array refused as a BadParameterError."""
+    try:
+        return np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError):
+        raise BadParameterError("entries must be numbers in a rectangular array") from None
+
+
 def as_matrix(entries) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
-    m = np.asarray(entries, dtype=complex)
+    m = as_complex(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -103,9 +112,12 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     The minimizing phase is tr(b* a)/|tr(b* a)|; the norm is evaluated at
     that phase directly, which stays accurate when the distance is tiny.
     """
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
     t = np.trace(dagger(b) @ a)
     c = t / abs(t) if abs(t) > 0 else 1.0
-    return frobenius(np.asarray(a) - c * np.asarray(b))
+    return frobenius(a - c * b)
 
 
 @dataclass
@@ -149,7 +161,9 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
     spectrum too. Only the rest go to one stacked eigvalsh.
     """
     require_tolerance("tol", tol)
-    ms = np.asarray(ms, dtype=complex)
+    ms = as_complex(ms)
+    if ms.ndim < 2 or ms.shape[-1] != ms.shape[-2]:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ms.shape}")
     if not np.all(np.isfinite(ms)):
         raise NonFiniteError("matrix contains NaN or infinite entries")
     n = ms.shape[-1]
@@ -332,6 +346,11 @@ def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
     """
     require_count("n", n, 1)
     require_rank(k, n)
+    try:
+        seeds = list(seeds)
+    except TypeError:
+        raise BadParameterError(
+            f"seeds must be a sequence of seeds, not {type(seeds).__name__}") from None
     for seed in seeds:
         require_seed(seed)
     return _rank_k_projections(k, _standard_normals(seeds, (2, n, n)))

@@ -24,6 +24,7 @@ from .errors import (
 from .matrix_core import (
     MAX_DRAWS,
     _standard_normals,
+    as_complex,
     as_matrix,
     dagger,
     frobenius,
@@ -52,7 +53,7 @@ MAX_ENTRY = 1e60
 def _require_map_matrix(n, mat, label: str) -> np.ndarray:
     # The checks SuperOp and ChoiMatrix share; returns mat as a complex array.
     require_count("n", n, 1)
-    mat = np.asarray(mat, dtype=complex)
+    mat = as_complex(mat)
     if mat.shape != (n * n, n * n):
         raise DimensionMismatchError(f"{label} for n={n} must be {n**2}x{n**2}, got {mat.shape}")
     # The real and imaginary parts; max and min propagate NaN, so this test

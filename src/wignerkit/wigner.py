@@ -20,6 +20,7 @@ from .errors import (
     BadIndexError,
     DegenerateImageError,
     DimensionMismatchError,
+    NonFiniteError,
     NotAProjectionError,
     NotWignerLikeError,
 )
@@ -29,6 +30,7 @@ from .matrix_core import (
     Projection,
     _rank_k_projections,
     _standard_normals,
+    as_complex,
     dagger,
     derive_seed,
     frobenius,
@@ -346,7 +348,13 @@ def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
     For the direct variant y = U* x; for the transpose variant
     y = conj(U* x), using (a^t u, u) = (a conj(u), conj(u)).
     """
-    y = dagger(form.u) @ np.asarray(x, dtype=complex)
+    x = as_complex(x)
+    n = form.u.shape[0]
+    if x.shape != (n,):
+        raise DimensionMismatchError(f"expected a vector of length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("vector contains NaN or infinite entries")
+    y = dagger(form.u) @ x
     return np.conj(y) if form.variant == TRANSPOSE else y
 
 

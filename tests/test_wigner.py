@@ -14,6 +14,8 @@ from wignerkit import (
     BadRankError,
     ClassifyConfig,
     DegenerateImageError,
+    DimensionMismatchError,
+    NonFiniteError,
     NotWignerLikeError,
     apply,
     choi_map,
@@ -263,6 +265,36 @@ class TestExtractUnitary:
         assert np.linalg.norm(form.u.conj().T @ form.u - np.eye(n)) <= 1e-12 * n
 
 
+_FORM = wigner.WignerForm(u=np.eye(3, dtype=complex), variant=DIRECT, residual=0.0)
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: apply(depolarizing(2, 0.5), "abc"), BadParameterError, id="apply-text"),
+    pytest.param(lambda: apply(depolarizing(2, 0.5), [[1.0, 0.0], [0.0]]), BadParameterError,
+                 id="apply-ragged"),
+    pytest.param(lambda: validate_projection("x"), BadParameterError, id="validate-text"),
+    pytest.param(lambda: validate_projection([[1.0], [0.0, 1.0]]), BadParameterError,
+                 id="validate-ragged"),
+    pytest.param(lambda: matrix_core.projection_ranks("abc"), BadParameterError,
+                 id="ranks-text"),
+    pytest.param(lambda: matrix_core.projection_ranks(np.ones(3)), DimensionMismatchError,
+                 id="ranks-vector"),
+    pytest.param(lambda: from_action(2, lambda a: "abc"), BadParameterError,
+                 id="from_action-text"),
+    pytest.param(lambda: SuperOp(2, "abc"), BadParameterError, id="superop-text"),
+    pytest.param(lambda: vector_state_partner(_FORM, np.ones(2)), DimensionMismatchError,
+                 id="partner-length"),
+    pytest.param(lambda: vector_state_partner(_FORM, np.array([np.nan, 1.0, 0.0])),
+                 NonFiniteError, id="partner-nan"),
+    pytest.param(lambda: phase_distance(np.eye(2), np.eye(3)), DimensionMismatchError,
+                 id="phase_distance-shapes"),
+    pytest.param(lambda: random_rank_k_projections(3, 1, 5), BadParameterError,
+                 id="projections-int-seeds")])
+def test_bad_library_input_raises_typed_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
 class TestVectorStatePartner:
     def test_identity_form(self):
         from wignerkit import WignerForm
@@ -314,6 +346,16 @@ class TestClassify:
         assert rep.verdict == "not_wigner"
         assert "positivity_violation" in rep.reasons
         assert rep.positivity.min_value == pytest.approx(-1.0 / 3.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_complement_map_fails_positivity_alone(self, n, seed):
+        # a -> (2/n) tr(a) I - a sends every rank-n/2 projection Q to I - Q and
+        # is invertible, but phi(x x*) has the eigenvalue 2/n - 1 < 0.
+        rep = classify(pseudo_depolarizing(n, 1.0), n // 2, ClassifyConfig(seed=seed))
+        assert rep.reasons == ["positivity_violation"]
+        assert rep.positivity.min_value == pytest.approx(2.0 / n - 1.0, abs=1e-9)
+        assert rep.rank_k_audit.inverse_pass is True
 
     def test_non_hp_map_skips_positivity(self):
         m = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
