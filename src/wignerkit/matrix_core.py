@@ -65,6 +65,13 @@ def require_tolerance(name: str, value):
         raise BadParameterError(f"{name}={value} must be finite and positive")
 
 
+def require_instance(name: str, value, kind: type):
+    """Raise BadParameterError unless value is an instance of kind: the check
+    public functions make on their SuperOp, Projection and WignerForm arguments."""
+    if not isinstance(value, kind):
+        raise BadParameterError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 def as_complex(entries) -> np.ndarray:
     """np.asarray(entries, dtype=complex), with entries that are not numbers
     in a rectangular array refused as a BadParameterError."""
@@ -340,7 +347,9 @@ def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
     pin that bit for bit up to n = 64), while each stream still draws all
     2 n^2 normals. The streams come from _standard_normals, which seeds all
     of them in one pass and equals np.random.default_rng(seed) stream by
-    stream. One projection_ranks call certifies every draw;
+    stream. Each draw is certified from its k x k Gram matrix V*V, with no
+    further n x n product and no eigensolve (see _rank_k_projections); only
+    a draw that bound leaves open goes to projection_ranks.
     NotAProjectionError if any is not a rank-k projection within
     DEFAULT_PROJECTION_TOL.
     """
@@ -357,11 +366,39 @@ def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
 
 
 def _rank_k_projections(k: int, g: np.ndarray) -> np.ndarray:
-    # random_rank_k_projections on a drawn Ginibre stack.
+    """random_rank_k_projections on a drawn Ginibre stack: m = fl(V V*) for the
+    n x k Haar columns V of each sample, certified from the k x k Gram matrix.
+
+    Let G = V*V - I and g = ||G||_F. P = V V* is Hermitian with the nonzero
+    eigenvalues of V*V = I + G, so k of them lie within g of 1 and the other
+    n - k are 0, and P^2 - P = V G V*, so ||P^2 - P||_F <= ||V||_2^2 g <=
+    (1 + g) g. A complex product with inner dimension L is exact up to
+    gamma_{L+2} <= (L + 2) eps times |A||B|, entry by entry, in any summation
+    order (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.6),
+    and || |V| |V|* ||_F <= ||V||_F^2 = k + tr G <= 2k while g <= 1. So
+    m = P + E with ||E||_F <= 2k(k + 2) eps, and the computed
+    gc = ||fl(V*V) - I||_F is within 2k(n + 2) eps + k^2 eps gc of g (g <= 1
+    follows once gc <= 1/4). e = 16 k (n + 2) eps covers both products and the
+    norm, so g <= gc + e, and:
+    - the Hermitian part h = P + (E + E*)/2 has k eigenvalues within g + e of 1
+      and n - k within e of 0 (Weyl);
+    - ||m - m*||_F = ||E - E*||_F <= 2e;
+    - m^2 - m = (P^2 - P) + PE + EP + E^2 - E, so ||m^2 - m||_F <=
+      (1 + g) g + e (2(1 + g) + e + 1).
+    A draw is proven when 4(gc + 2e) <= tol = DEFAULT_PROJECTION_TOL: then
+    every eigenvalue of h is within tol/4 of {0, 1}, exactly k of them near 1,
+    and both norms stay below tol, so m passes every test of projection_ranks
+    with rank k, with the same factor 4 to spare that its own proof keeps.
+    The draws this leaves open go to projection_ranks; NotAProjectionError if
+    any of them is not a rank-k projection within DEFAULT_PROJECTION_TOL.
+    """
     v = _haar_columns(k, g)
     ms = v @ dagger(v)
-    ranks, _ = projection_ranks(ms)
-    if np.any(ranks != k):
+    n = ms.shape[-1]
+    e = 16 * k * (n + 2) * np.finfo(float).eps
+    gram = np.linalg.norm(dagger(v) @ v - np.eye(k), axis=(-2, -1))
+    open_draws = ~(4.0 * (gram + 2.0 * e) <= DEFAULT_PROJECTION_TOL)
+    if open_draws.any() and np.any(projection_ranks(ms[open_draws])[0] != k):
         raise NotAProjectionError(f"a Haar draw is not certified as a rank-{k} projection "
                                   f"within {DEFAULT_PROJECTION_TOL}")
     return ms

@@ -23,13 +23,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import SerializationError
-from .matrix_core import MAX_DIMENSION, is_finite_float
+from .matrix_core import MAX_DIMENSION, as_complex, is_finite_float
 from .superop import CONVENTION, ChoiMatrix, SuperOp, from_choi, to_choi
 from .wigner import AnalysisReport
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
+    m = as_complex(m)
     return {"n": int(m.shape[0]), "data": np.stack([m.real, m.imag], axis=-1).tolist()}
 
 

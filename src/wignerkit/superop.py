@@ -33,6 +33,7 @@ from .matrix_core import (
     derive_seed,
     random_unit_vector,
     require_count,
+    require_instance,
     require_seed,
     require_tolerance,
 )
@@ -154,6 +155,7 @@ def from_action(n: int, action) -> SuperOp:
 
 def apply(s: SuperOp, a) -> np.ndarray:
     """Evaluate the map on a single matrix: unvec(S vec(a))."""
+    require_instance("s", s, SuperOp)
     a = as_matrix(a)
     if a.shape != (s.n, s.n):
         raise DimensionMismatchError(f"expected a {s.n}x{s.n} matrix, got {a.shape}")
@@ -187,6 +189,7 @@ def from_choi(c: ChoiMatrix) -> SuperOp:
 
 def is_unital(s: SuperOp, tol: float = 1e-10) -> bool:
     """Whether the map sends the identity to the identity within tol."""
+    require_instance("s", s, SuperOp)
     require_tolerance("tol", tol)
     eye = np.eye(s.n, dtype=complex)
     return frobenius(apply(s, eye) - eye) <= tol
@@ -201,6 +204,7 @@ def is_hermiticity_preserving(s: SuperOp, tol: float = 1e-10) -> bool:
     d_ij = phi(E_ij) - phi(E_ji)*; then h = E_ij + E_ji gives d_ij - d_ij*
     and h = i(E_ij - E_ji) gives i(d_ij + d_ij*), both within tol * sqrt(2).
     """
+    require_instance("s", s, SuperOp)
     require_tolerance("tol", tol)
     units = unit_images(s)
     diag = units[range(s.n), range(s.n)]
@@ -289,6 +293,7 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     NotHermiticityPreservingError unless the map preserves Hermiticity
     within max(tol, 1e-10).
     """
+    require_instance("s", s, SuperOp)
     require_count("restarts", restarts, 1, MAX_DRAWS)
     require_count("max_iters", max_iters, 0)
     require_tolerance("tol", tol)

@@ -37,6 +37,7 @@ from .matrix_core import (
     hermitian_part,
     projection_ranks,
     require_count,
+    require_instance,
     require_rank,
     require_seed,
     require_tolerance,
@@ -52,6 +53,7 @@ from .superop import (
     is_invertible,
     is_unital,
     unit_images,
+    vec,
 )
 
 DIRECT = "direct"
@@ -101,9 +103,12 @@ class RankKAudit:
     """Sampling audit of rank-k projection preservation.
 
     samples counts every projection tested (requested random draws plus the
-    standard-basis subset projections). inverse_pass is derived, not
-    sampled: it holds when every sample passed and the map is invertible
-    (cond(S) <= 1e12), which is "onto" given "into" (see preserves_rank_k).
+    standard-basis subset projections), and max_residual is the largest
+    ||phi(Q)^2 - phi(Q)||_F among their images. The draws are certified
+    from their k x k Gram matrices, the images by one projection_ranks
+    call. inverse_pass is derived, not sampled: it holds when every sample
+    passed and the map is invertible (cond(S) <= 1e12), which is "onto"
+    given "into" (see preserves_rank_k).
     classify proves invertibility from its fitted model when it can, with
     no SVD: sigma_min(S) >= sigma_min(S_model) - delta >= 1 - epsilon - delta
     (see AnalysisReport), so epsilon + delta <= 1/2 gives cond(S) <= 3.
@@ -220,14 +225,19 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     projections built from standard-basis subsets (the first 100 subsets in
     lexicographic order). The subsets are diagonal and do not span the input
     space, so a map can pass them all and still fail on a random draw, as
-    a -> diag(a) does. "Onto" needs no second audit: an invertible linear
-    map sending the rank-k projections, a compact connected manifold of real
-    dimension 2k(n-k), into themselves is onto by invariance of domain
-    (Brouwer, 1912). So inverse_pass is pass_fraction == 1 and
-    is_invertible(s), and cond(S) is computed only when every sample passed.
+    a -> diag(a) does. Both map by products with S in its own layout:
+    column i + n i of S is vec(phi(E_ii)), so a subset projection's image is
+    the sum of those columns over its subset, and the draws' images are
+    vec(draws) S^T, one gemm on S with no copy of it. "Onto" needs no second
+    audit: an invertible linear map sending the rank-k projections, a
+    compact connected manifold of real dimension 2k(n-k), into themselves is
+    onto by invariance of domain (Brouwer, 1912). So inverse_pass is
+    pass_fraction == 1 and is_invertible(s), and cond(S) is computed only
+    when every sample passed.
     samples is at most MAX_DRAWS (1000), since the draws and their images
     are held as stacks; BadParameterError otherwise.
     """
+    require_instance("s", s, SuperOp)
     n = s.n
     require_rank(k, n)
     require_count("samples", samples, 0, MAX_DRAWS)
@@ -243,18 +253,24 @@ def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
     n = s.n
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
-    basis = np.zeros((len(subsets), n, n), dtype=complex)
-    basis[np.arange(len(subsets))[:, None], subsets, subsets] = 1.0
+    indicator = np.zeros((len(subsets), n))
+    indicator[np.arange(len(subsets))[:, None], subsets] = 1.0
 
     prefix = derive_seed(seed, 0)
     draws = _rank_k_projections(
         k, _standard_normals([prefix + (i,) for i in range(samples)], (2, n, n)))
-    tests = np.concatenate([basis, draws])
-    # images[t] = sum_ij tests[t, i, j] phi(E_ij), one contraction for the stack.
-    images = np.tensordot(tests, unit_images(s), axes=2)
-    ranks, residuals = projection_ranks(images, tol)
-    pass_fraction = np.count_nonzero(ranks == k) / len(tests)
-    return RankKAudit(k=k, samples=len(tests), pass_fraction=pass_fraction,
+    # Row t of images is vec(phi(Q_t)) = S vec(Q_t). Column i + n i of S is
+    # vec(phi(E_ii)), so a basis-subset projection maps to the sum of those
+    # columns over its subset (a copy of those n columns, n^3 entries, lets
+    # BLAS take them); the draws map by one product with S itself.
+    images = np.empty((len(subsets) + samples, n * n), dtype=complex)
+    np.matmul(indicator, s.mat[:, ::n + 1].T.copy(), out=images[:len(subsets)])
+    np.matmul(vec(draws), s.mat.T, out=images[len(subsets):])
+    # Row t read row-major is phi(Q_t)^T, C-ordered: a projection exactly when
+    # phi(Q_t) is, of the same rank, and with the same residual norms.
+    ranks, residuals = projection_ranks(images.reshape(-1, n, n), tol)
+    pass_fraction = np.count_nonzero(ranks == k) / len(images)
+    return RankKAudit(k=k, samples=len(images), pass_fraction=pass_fraction,
                       max_residual=float(residuals.max()),
                       inverse_pass=pass_fraction == 1.0 and (invertible or is_invertible(s)))
 
@@ -266,6 +282,8 @@ def definite_set_check(s: SuperOp, q: Projection) -> float:
     on Q in the squared sense); for projection-preserving maps this is float
     noise only.
     """
+    require_instance("s", s, SuperOp)
+    require_instance("q", q, Projection)
     m = q.matrix
     img = apply(s, m)
     return frobenius(apply(s, m @ m) - img @ img)
@@ -296,11 +314,14 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
     deviation over all matrix units. The transpose variant of phi is the
     direct variant of phi o T, whose matrix-unit images
     (phi o T)(E_ij) = F_ji are the same blocks with i and j swapped, so one
-    fit serves both; the better variant wins.
+    fit serves both; the better variant wins. The deviations are read off
+    S's own layout: each variant's n^4 model is the one temporary, and S is
+    subtracted from it in place.
 
     Raises DegenerateImageError when phi(E_11) is not numerically rank 1,
     NotWignerLikeError when both residuals exceed tol.
     """
+    require_instance("s", s, SuperOp)
     require_tolerance("tol", tol)
     return _fit_form(s, tol)[0]
 
@@ -321,18 +342,30 @@ def _fit_form(s: SuperOp, tol: float) -> tuple[WignerForm, float]:
             f"phi(E_11) has second eigenvalue {w[-2]:.3e}; image is not rank 1")
     u1 = v[:, -1]
 
-    def fit(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def fit(images: np.ndarray) -> np.ndarray:
         # The direct model a -> U a U* fitted to images[i, j] = image of E_ij:
-        # column j of U is images[j, 0] u1, column 0 is u1 itself. Returns U
-        # and the Frobenius deviation of each image from the model.
+        # column j of U is images[j, 0] u1, column 0 is u1 itself.
         cols = images[:, 0] @ u1
         cols[0] = u1
-        u = _fix_phase(_polar_unitary(cols.T))
-        model = u.T[:, None, :, None] * u.conj().T[None, :, None, :]
-        return u, np.linalg.norm(images - model, axis=(2, 3))
+        return _fix_phase(_polar_unitary(cols.T))
 
-    u_direct, dev_d = fit(units)
-    u_transp, dev_t = fit(units.swapaxes(0, 1))
+    # The deviations are taken on S's own layout, m4[b, a, j, i] = phi(E_ij)[a, b],
+    # where the direct model is u[a, i] conj(u[b, j]); the transpose variant
+    # compares m4[b, a, i, j] = phi(E_ji)[a, b] with u[a, i] conj(u[b, j]).
+    # Each model is the one n^4 temporary: m4 is subtracted from it in place,
+    # and the squares of its real view summed over (b, a) per unit.
+    m4 = s.mat.reshape(n, n, n, n)
+
+    def deviations(d: np.ndarray) -> np.ndarray:
+        d -= m4
+        parts = d.reshape(n * n, n * n).view(float)
+        sums = np.einsum("tu,tu->u", parts, parts)
+        return np.sqrt(sums[0::2] + sums[1::2])
+
+    u_direct = fit(units)
+    dev_d = deviations(u_direct[None, :, None, :] * u_direct.conj()[:, None, :, None])
+    u_transp = fit(units.swapaxes(0, 1))
+    dev_t = deviations(u_transp[None, :, :, None] * u_transp.conj()[:, None, None, :])
     res_d, res_t = float(dev_d.max()), float(dev_t.max())
     if min(res_d, res_t) > tol:
         raise NotWignerLikeError(
@@ -348,6 +381,7 @@ def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
     For the direct variant y = U* x; for the transpose variant
     y = conj(U* x), using (a^t u, u) = (a conj(u), conj(u)).
     """
+    require_instance("form", form, WignerForm)
     x = as_complex(x)
     n = form.u.shape[0]
     if x.shape != (n,):
@@ -378,6 +412,7 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     every hypothesis passed; a failed fit then gives
     "decomposition_failure". Failures are verdicts, not errors.
     """
+    require_instance("s", s, SuperOp)
     require_rank(k, s.n)
     cfg = config or ClassifyConfig()
 

@@ -22,6 +22,12 @@ certification that ran eigvalsh on every matrix; projection_ranks proves
 most spectra from the idempotency residual instead, and must give the same
 ranks and residuals bit for bit.
 
+`ref_audit` and `ref_fit_form` keep the audit's tensordot over a dense stack
+of test projections and the fit's deviations on the unit images' view, as
+they ran before both worked on S's own memory layout. Ranks, counts, U and
+the variant must be equal; residuals and delta may move at rounding level,
+by the bounds each test states.
+
 `ref_classify` keeps classify as the public stages ran it before its fitted
 model could certify positivity and invertibility: the Cholesky proofs or the
 search, the audit with cond(S), and the extraction last. Report files from
@@ -36,6 +42,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wignerkit import (
+    DEFAULT_PROJECTION_TOL,
     AnalysisReport,
     ChoiMatrix,
     ClassifyConfig,
@@ -43,6 +50,7 @@ from wignerkit import (
     NotAProjectionError,
     NotHermitianError,
     NotWignerLikeError,
+    RankKAudit,
     SingularMapError,
     SuperOp,
     apply,
@@ -64,7 +72,7 @@ from wignerkit import (
     random_unit_vector,
     validate_projection,
 )
-from wignerkit import superop, wigner
+from wignerkit import matrix_core, superop, wigner
 from wignerkit.matrix_core import (
     NOT_A_PROJECTION,
     NOT_HERMITIAN,
@@ -237,6 +245,104 @@ def test_extraction_residual_matches_per_unit_loop(kind, n):
     assert abs(form.residual - ref_residual(s, form.u, form.variant)) <= 1e-12
 
 
+EPS = np.finfo(float).eps
+
+
+def ref_audit(s: SuperOp, k: int, samples: int, tol: float, seed):
+    # The audit as it ran before it worked on S's own layout: the basis-subset
+    # projections as a dense stack, concatenated with the draws and mapped by
+    # one tensordot with the unit images, which copies all n^4 of them.
+    # Returns the images, their ranks and residuals, and the audit.
+    n = s.n
+    subsets = np.array(list(itertools.islice(
+        itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
+    basis = np.zeros((len(subsets), n, n), dtype=complex)
+    basis[np.arange(len(subsets))[:, None], subsets, subsets] = 1.0
+    draws = random_rank_k_projections(n, k, [derive_seed(seed, 0, i) for i in range(samples)])
+    tests = np.concatenate([basis, draws])
+    images = np.tensordot(tests, superop.unit_images(s), axes=2)
+    ranks, residuals = projection_ranks(images, tol)
+    fraction = np.count_nonzero(ranks == k) / len(tests)
+    audit = RankKAudit(k=k, samples=len(tests), pass_fraction=fraction,
+                       max_residual=float(residuals.max()),
+                       inverse_pass=fraction == 1.0 and superop.is_invertible(s))
+    return images, ranks, residuals, audit
+
+
+def recorded_projection_ranks(monkeypatch, module) -> list:
+    # Every (ranks, residuals) that projection_ranks returns through module.
+    calls = []
+    certify = module.projection_ranks
+
+    def recording(ms, *args):
+        calls.append(certify(ms, *args))
+        return calls[-1]
+
+    monkeypatch.setattr(module, "projection_ranks", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_audit_on_s_layout_matches_tensordot_audit(monkeypatch, kind, n):
+    # Ranks, pass_fraction, samples and inverse_pass are equal. Each image's
+    # residual moves by at most 16 n eps (1 + ||image||_F)^2, the margin
+    # projection_ranks allows for the rounding in a residual.
+    s = make_map(kind, n, 13)
+    calls = recorded_projection_ranks(monkeypatch, wigner)
+    for k in sorted({1, n // 2, n - 1}):
+        audit = preserves_rank_k(s, k, samples=30, seed=(13, k))
+        images, ranks, residuals, ref = ref_audit(s, k, 30, DEFAULT_PROJECTION_TOL, (13, k))
+        got_ranks, got_residuals = calls.pop()
+        assert np.array_equal(got_ranks, ranks)
+        assert ((audit.samples, audit.pass_fraction, audit.inverse_pass)
+                == (ref.samples, ref.pass_fraction, ref.inverse_pass))
+        margin = 16 * n * EPS * (1.0 + np.linalg.norm(images, axis=(1, 2))) ** 2
+        assert np.all(np.abs(got_residuals - residuals) <= margin)
+        assert abs(audit.max_residual - ref.max_residual) <= margin.max()
+
+
+def ref_fit_form(s: SuperOp):
+    # _fit_form as it ran before it took the deviations on S's own layout: on
+    # the unit images' view, with the n^4 model and the difference both
+    # formed, then np.linalg.norm per unit, with no tolerance or rank-1 gate.
+    # Returns the form, delta and both variants' residuals.
+    units = superop.unit_images(s)
+    u1 = np.linalg.eigh((units[0, 0] + units[0, 0].conj().T) / 2)[1][:, -1]
+
+    def fit(images):
+        cols = images[:, 0] @ u1
+        cols[0] = u1
+        u = wigner._fix_phase(wigner._polar_unitary(cols.T))
+        model = u.T[:, None, :, None] * u.conj().T[None, :, None, :]
+        return u, np.linalg.norm(images - model, axis=(2, 3))
+
+    (u_d, dev_d), (u_t, dev_t) = fit(units), fit(units.swapaxes(0, 1))
+    res = (float(dev_d.max()), float(dev_t.max()))
+    u, dev, variant = (u_d, dev_d, wigner.DIRECT) if res[0] <= res[1] else (u_t, dev_t, TRANSPOSE)
+    return wigner.WignerForm(u=u, variant=variant, residual=float(dev.max())), float(
+        np.linalg.norm(dev)), res
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_on_s_layout_matches_view_deviations(kind, n):
+    # U is equal bit for bit, and so is every entry of the model and of the
+    # difference; only the sums of squares run in another order, so residual
+    # and delta move by at most 4 n eps relative. The variant is equal unless
+    # the two residuals tie within that.
+    s = make_map(kind, n, 17)
+    form, delta = wigner._fit_form(s, 100.0)
+    ref, ref_delta, (res_d, res_t) = ref_fit_form(s)
+    bound = 4 * n * EPS
+    assert abs(form.residual - ref.residual) <= bound * ref.residual
+    assert abs(delta - ref_delta) <= bound * ref_delta
+    if abs(res_d - res_t) > bound * max(res_d, res_t):
+        assert form.variant == ref.variant
+    if form.variant == ref.variant:
+        assert np.array_equal(form.u, ref.u)
+
+
 def ref_haar_unitary(n: int, seed) -> np.ndarray:
     # One Ginibre sample, its QR, and the R-diagonal phase fix.
     rng = np.random.default_rng(seed)
@@ -322,6 +428,44 @@ def test_audit_draws_match_per_seed_draws_at_large_seeds(monkeypatch, n, k, seed
     assert (audit.samples, audit.pass_fraction, audit.inverse_pass) == (total, fraction,
                                                                         inverse_pass)
     assert abs(audit.max_residual - worst) <= 1e-12
+
+
+def refuse_projection_ranks(*args):
+    raise AssertionError("a draw went to projection_ranks")
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 16) | st.just(64), k=st.integers(1, 64),
+       seeds=st.lists(SEED_INTS | st.tuples(SEED_INTS, SEED_INTS), min_size=1, max_size=4))
+@example(n=64, k=63, seeds=[2**130, (2**64, 7)])
+@example(n=64, k=1, seeds=[0])
+@example(n=1, k=1, seeds=[(3, 4)])
+def test_gram_certificate_proves_every_haar_draw(n, k, seeds):
+    # k runs over 1..n, k = n included (V is then unitary and V V* is I).
+    # The k x k Gram matrix proves every draw, and projection_ranks, run
+    # afterwards as an independent check, gives each rank k.
+    k = 1 + (k - 1) % n
+    g = _standard_normals(seeds, (2, n, n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_core, "projection_ranks", refuse_projection_ranks)
+        draws = matrix_core._rank_k_projections(k, g)
+    assert np.array_equal(projection_ranks(draws)[0], np.full(len(seeds), k))
+
+
+def test_draws_the_gram_bound_leaves_open_go_to_projection_ranks(monkeypatch):
+    # V scaled by 1 + c with c = 2e-9: ||V*V - I||_F = ((1 + c)^2 - 1) sqrt(2),
+    # about 5.7e-9, fails 4(gc + 2e) <= 1e-8, but V V* has the eigenvalue
+    # (1 + c)^2, about 1 + 4e-9, within 1e-8 of 1, so projection_ranks
+    # certifies rank 2 and the draws are returned.
+    c = 2e-9
+    haar_columns = matrix_core._haar_columns
+    monkeypatch.setattr(matrix_core, "_haar_columns", lambda k, g: (1 + c) * haar_columns(k, g))
+    calls = recorded_projection_ranks(monkeypatch, matrix_core)
+    seeds = [0, (1, 2), 2**70]
+    draws = random_rank_k_projections(6, 2, seeds)
+    assert [list(ranks) for ranks, _ in calls] == [[2, 2, 2]]
+    v = (1 + c) * haar_columns(2, _standard_normals(seeds, (2, 6, 6)))
+    assert np.array_equal(draws, v @ v.conj().swapaxes(-1, -2))
 
 
 def ref_projection_ranks(ms, tol: float):

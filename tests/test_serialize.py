@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wignerkit import (
     CONVENTION,
     FAMILIES,
+    BadParameterError,
     ClassifyConfig,
     NonFiniteError,
     SerializationError,
@@ -103,6 +104,13 @@ class TestMatrixJson:
         with pytest.raises(SerializationError, match="row 0 must have 2 entries"):
             matrix_from_json({"n": 2, "data": [{"a": 1, "b": 2}, [[0.0, 0.0], [1.0, 0.0]]]})
 
+
+    @pytest.mark.parametrize("entries", ["abc", [[1.0, "x"], [0.0, 1.0]], [[1.0], [0.0, 1.0]]],
+                             ids=["text", "text-entry", "ragged"])
+    def test_writing_non_numbers_raises_typed_error(self, entries):
+        # numpy's bare ValueError, unconverted.
+        with pytest.raises(BadParameterError):
+            matrix_to_json(entries)
 
     def test_booleans_rejected(self):
         # JSON true/false are not numbers, although Python counts bool as int.

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from wignerkit import (
     extract_unitary,
     from_action,
     haar_unitary,
+    is_hermiticity_preserving,
+    is_unital,
     lemma1_projections,
     perturbed_wigner,
     phase_distance,
@@ -293,6 +296,31 @@ _FORM = wigner.WignerForm(u=np.eye(3, dtype=complex), variant=DIRECT, residual=0
 def test_bad_library_input_raises_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+_MAP = depolarizing(3, 0.5)
+_PROJECTION = validate_projection(np.diag([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", ["abc", None, np.eye(3)], ids=["text", "none", "ndarray"])
+@pytest.mark.parametrize("call,kind", [
+    (lambda v: classify(v, 1), "SuperOp"),
+    (lambda v: extract_unitary(v), "SuperOp"),
+    (lambda v: preserves_rank_k(v, 1), "SuperOp"),
+    (lambda v: is_unital(v), "SuperOp"),
+    (lambda v: is_hermiticity_preserving(v), "SuperOp"),
+    (lambda v: positivity_certificate(v), "SuperOp"),
+    (lambda v: apply(v, np.eye(3)), "SuperOp"),
+    (lambda v: definite_set_check(v, _PROJECTION), "SuperOp"),
+    (lambda v: definite_set_check(_MAP, v), "Projection"),
+    (lambda v: vector_state_partner(v, np.ones(3)), "WignerForm"),
+], ids=["classify", "extract_unitary", "preserves_rank_k", "is_unital",
+        "is_hermiticity_preserving", "positivity_certificate", "apply",
+        "definite_set_check-s", "definite_set_check-q", "vector_state_partner"])
+def test_wrong_argument_type_raises_typed_error(call, kind, value):
+    # Unchecked, each ends in a bare AttributeError on .n, .mat, .matrix or .u.
+    with pytest.raises(BadParameterError, match=f"must be a {kind}, not {type(value).__name__}"):
+        call(value)
 
 
 class TestVectorStatePartner:
@@ -594,6 +622,46 @@ class TestAuditEigensolves:
         rep = classify(s, 3, ClassifyConfig(seed=5))
         assert eigvalsh_calls == []
         assert rep.verdict != "wigner" and rep.rank_k_audit.pass_fraction < 1.0
+
+
+class TestAuditLayout:
+    # The audit certifies its Haar draws from their k x k Gram matrices, so
+    # its one projection_ranks call is the one on the images.
+    @pytest.mark.parametrize("make", [lambda: wigner_map(haar_unitary(16, 4)),
+                                      lambda: depolarizing(16, 0.5),
+                                      lambda: pseudo_depolarizing(16, 0.05)],
+                             ids=["wigner", "depolarizing", "pseudo_depolarizing"])
+    def test_one_projection_ranks_call_per_audit(self, monkeypatch, make):
+        calls = []
+        for module in (matrix_core, wigner):
+            def counting(ms, *args, certify=module.projection_ranks):
+                calls.append(len(ms))
+                return certify(ms, *args)
+            monkeypatch.setattr(module, "projection_ranks", counting)
+        rep = classify(make(), 8)
+        assert calls == [rep.rank_k_audit.samples]
+
+    # At n = 32, S takes 16 MB. The audit maps its tests by products with S
+    # itself, never a copy of it, and the fit holds one n^4 model at a time,
+    # from which it subtracts S in place.
+    @staticmethod
+    def peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_audit_at_n32_allocates_less_than_s(self, variant):
+        s = wigner_map(haar_unitary(32, 5), variant)
+        assert self.peak_bytes(lambda: preserves_rank_k(s, 16)) < s.mat.nbytes
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_fit_at_n32_allocates_one_model(self, variant):
+        s = wigner_map(haar_unitary(32, 5), variant)
+        assert self.peak_bytes(lambda: extract_unitary(s)) < 1.25 * s.mat.nbytes
 
 
 @pytest.mark.parametrize("value", [1.5, True, "2"])
