@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from . import selftest
@@ -18,12 +19,13 @@ from .errors import BadParameterError, SerializationError, WignerkitError
 from .genmaps import build_map
 from .matrix_core import MAX_DIMENSION, MAX_DRAWS, haar_unitary
 from .serialize import (
+    dump,
     dumps,
     family_spec_from_json,
     matrix_to_json,
     report_to_json,
+    superop_document,
     superop_from_json,
-    superop_to_json,
 )
 from .wigner import ClassifyConfig, classify, lemma1_projections
 
@@ -101,9 +103,32 @@ def _cmd_generate(args) -> int:
     if seed is None:
         seed = default_seed()
     s = build_map(family, n, params, seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps(superop_to_json(s)))
+    _write_through_temporary(args.out, superop_document(s))
     return 0
+
+
+def _write_through_temporary(path: str, obj) -> None:
+    """dump obj into a new file beside path's target, renamed onto it once the
+    last piece is written and removed on any error, so the target is never
+    left truncated. A path that exists but does not lead to a regular file
+    by its real path (a pipe, a device, /dev/stdout) is written directly."""
+    target = os.path.realpath(path)
+    if os.path.exists(path) and not (os.path.isfile(target) and os.path.samefile(path, target)):
+        with open(path, "w", encoding="utf-8") as fh:
+            dump(obj, fh)
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            dump(obj, fh)
+        if os.path.isfile(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_lemma(args) -> int:

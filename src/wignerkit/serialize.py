@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -70,17 +71,26 @@ def _is_pair(entry) -> bool:
 
 
 def superop_to_json(s: SuperOp, repr_tag: str = "superop") -> dict:
+    obj = superop_document(s, repr_tag)
+    obj["data"] = matrix_to_json(obj["data"]["data"])
+    return obj
+
+
+def superop_document(s: SuperOp, repr_tag: str = "superop") -> dict:
+    """superop_to_json(s, repr_tag) with its matrix block's "data" left as
+    the n^2 x n^2 complex array, which dump and dumps write as the nested
+    list, byte for byte, without building it."""
     if repr_tag == "superop":
-        data = s.mat
+        mat = s.mat
     elif repr_tag == "choi":
-        data = to_choi(s).mat
+        mat = to_choi(s).mat
     else:
         raise SerializationError(f"unknown repr {repr_tag!r}; expected 'superop' or 'choi'")
     return {
         "n": s.n,
         "convention": CONVENTION,
         "repr": repr_tag,
-        "data": matrix_to_json(data),
+        "data": {"n": int(mat.shape[0]), "data": mat},
     }
 
 
@@ -165,53 +175,82 @@ _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 def dumps(obj) -> str:
     """Stable JSON text: sorted keys, two-space indent, trailing newline.
 
-    Byte for byte json.dumps(obj, indent=2, sort_keys=True) + "\\n". With an
-    indent, json encodes in pure Python, so each matrix-JSON "data" block of
-    finite floats is formatted here, one row at a time, and spliced into the
-    json.dumps text of the rest in place of a placeholder string.
+    Byte for byte json.dumps(obj, indent=2, sort_keys=True) + "\\n", where a
+    complex ndarray stands for its nested list of [re, im] pairs.
+    """
+    return "".join(iterdumps(obj))
+
+
+def dump(obj, fh) -> None:
+    """Write dumps(obj) to the text file fh, each piece as soon as it is made."""
+    fh.writelines(iterdumps(obj))
+
+
+def iterdumps(obj) -> Iterator[str]:
+    """The pieces of dumps(obj), in order, a matrix row at a time.
+
+    With an indent, json encodes in pure Python, so each matrix-JSON "data"
+    block of finite floats, beside an integer "n", is formatted here, one row
+    at a time, and spliced into the json.dumps text of the rest in place of a
+    placeholder string. A block may be a square complex ndarray: its rows
+    are formatted from their float views, and no nested list is built.
     """
     blocks = []
-    pieces = _PLACEHOLDER.split(json.dumps(_set_aside(obj, 0, blocks), indent=2, sort_keys=True))
-    if len(pieces) != 2 * len(blocks) + 1:  # a string in obj holds a NUL and renders alike
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    out = []
-    for t, piece in enumerate(pieces):
-        out.extend(blocks[int(piece)] if t % 2 else (piece,))
-    out.append("\n")
-    return "".join(out)
+    parts = _PLACEHOLDER.split(
+        json.dumps(_set_aside(obj, 0, blocks), indent=2, sort_keys=True, default=_pairs))
+    if len(parts) != 2 * len(blocks) + 1:  # a string in obj holds a NUL and renders alike
+        yield json.dumps(obj, indent=2, sort_keys=True, default=_pairs) + "\n"
+        return
+    for t, part in enumerate(parts):
+        if t % 2:
+            yield from _format_block(*blocks[int(part)])
+        else:
+            yield part
+    yield "\n"
+
+
+def _pairs(value):
+    """json.dumps' default: a complex ndarray as its nested [re, im] lists."""
+    if isinstance(value, np.ndarray) and value.dtype == complex:
+        return np.stack([value.real, value.imag], axis=-1).tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _set_aside(value, level: int, blocks: list):
     """Copy of value, found at nesting depth `level`, with each matrix block
-    _format_block can write replaced by a placeholder; blocks gets its text."""
+    _block_rows accepts replaced by a placeholder; blocks gets the block's
+    dimension, rows and indent."""
     if isinstance(value, list):
         return [_set_aside(v, level + 1, blocks) for v in value]
     if not isinstance(value, dict):
         return value
     out = {}
     for key, v in value.items():
-        block = None
+        rows = None
         if key == "data" and type(value.get("n")) is int:
-            block = _format_block(v, 2 * level + 2)
-        if block is None:
+            rows = _block_rows(v)
+        if rows is None:
             out[key] = _set_aside(v, level + 1, blocks)
         else:
             out[key] = f"\x00{len(blocks)}"
-            blocks.append(block)
+            blocks.append((len(v), rows, 2 * level + 2))
     return out
 
 
-def _format_block(data, indent: int) -> list[str] | None:
-    """json.dumps(data, indent=2) as pieces, for a value whose key is indented
-    by `indent` spaces; None unless data is a square list of [re, im] pairs
-    of finite floats."""
+def _block_rows(data):
+    """The rows of a matrix block, each as its flat list of floats re, im,
+    re, im, ...: lazily for a square complex ndarray of finite entries, and
+    checked up front for a square list of [re, im] pairs of finite floats.
+    None for any other value."""
+    if isinstance(data, np.ndarray):
+        if (data.dtype != complex or data.ndim != 2 or data.shape[0] != data.shape[1]
+                or not data.size or not np.isfinite(data).all()):
+            return None
+        return (np.ascontiguousarray(r).view(float).tolist() for r in data)
     if not isinstance(data, list) or not data:
         return None
     n = len(data)
-    row, entry, part = ("\n" + " " * (indent + d) for d in (2, 4, 6))
-    pair = f"[{part}%r,{part}%r{entry}]"
-    template = f"%s[{entry}" + f",{entry}".join([pair] * n) + f"{row}]"
-    pieces = []
+    rows = []
     for r in data:
         if not (isinstance(r, list) and len(r) == n
                 and all(issubclass(t, list) for t in set(map(type, r)))
@@ -220,6 +259,18 @@ def _format_block(data, indent: int) -> list[str] | None:
         values = list(chain.from_iterable(r))
         if set(map(type, values)) != {float} or not all(map(math.isfinite, values)):
             return None
-        pieces.append(template % (f",{row}" if pieces else f"[{row}", *values))
-    pieces.append("\n" + " " * indent + "]")
-    return pieces
+        rows.append(values)
+    return rows
+
+
+def _format_block(n: int, rows, indent: int) -> Iterator[str]:
+    """json.dumps of an n x n block of [re, im] pairs, indent=2, a row at a
+    time, for a value whose key is indented by `indent` spaces."""
+    row, entry, part = ("\n" + " " * (indent + d) for d in (2, 4, 6))
+    pair = f"[{part}%r,{part}%r{entry}]"
+    body = f"[{entry}" + f",{entry}".join([pair] * n) + f"{row}]"
+    template = f"[{row}" + body
+    for values in rows:
+        yield template % tuple(values)
+        template = f",{row}" + body
+    yield "\n" + " " * indent + "]"

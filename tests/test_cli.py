@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,14 +12,16 @@ from hypothesis import strategies as st
 from wignerkit import (
     CONVENTION,
     FAMILIES,
+    build_map,
     depolarizing,
     haar_unitary,
     pseudo_depolarizing,
     random_hermitian,
     wigner_map,
 )
+from wignerkit import cli
 from wignerkit.cli import main
-from wignerkit.serialize import dumps, matrix_to_json, superop_to_json
+from wignerkit.serialize import dumps, iterdumps, matrix_to_json, superop_to_json
 from wignerkit.matrix_core import MAX_DRAWS
 from wignerkit.superop import MAX_ENTRY
 
@@ -305,6 +309,99 @@ class TestInputErrors:
                                "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert "kraus" in err
+
+
+# Every family, and both variants of those that have one.
+GENERATED = [("wigner", {"variant": "direct"}), ("wigner", {"variant": "transpose"}),
+             ("depolarizing", {"lambda": 0.3}), ("pseudo_depolarizing", {"mu": 0.7}),
+             ("perturbed_wigner", {"variant": "direct", "epsilon": 1e-3}),
+             ("perturbed_wigner", {"variant": "transpose", "epsilon": 1e-3})]
+
+
+class TestGenerateFile:
+    def test_cases_cover_every_family(self):
+        assert {family for family, _ in GENERATED} == set(FAMILIES)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("family,params", GENERATED,
+                             ids=[f"{f}-{p.get('variant', '')}" for f, p in GENERATED])
+    def test_file_is_dumps_of_superop_to_json(self, tmp_path, capsys, family, params, n):
+        out = tmp_path / "map.json"
+        spec = json.dumps({"family": family, "n": n, "params": params, "seed": n + 5})
+        assert run_cli(capsys, "generate", "--spec", spec, "--out", str(out))[0] == 0
+        expected = dumps(superop_to_json(build_map(family, n, params, n + 5)))
+        assert out.read_bytes() == expected.encode()
+        assert os.listdir(tmp_path) == ["map.json"]
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                       KeyboardInterrupt()], ids=["OSError", "interrupt"])
+    @pytest.mark.parametrize("old", [b'{"old": true}\n', None], ids=["existing", "absent"])
+    def test_failed_write_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, old,
+                                               error):
+        out = tmp_path / "map.json"
+        if old is not None:
+            out.write_bytes(old)
+        written = []
+
+        def failing_dump(obj, fh):
+            # The text before the block and four rows reach the file, then the write fails.
+            for piece in iterdumps(obj):
+                if len(written) == 5:
+                    raise error
+                fh.write(piece)
+                fh.flush()
+                written.append(piece)
+
+        monkeypatch.setattr(cli, "dump", failing_dump)
+        argv = ["generate", "--spec", json.dumps({"family": "wigner", "n": 8}), "--out", str(out)]
+        if isinstance(error, OSError):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and "No space left on device" in err
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert len(written) == 5
+        assert (out.read_bytes() if out.exists() else None) == old
+        assert os.listdir(tmp_path) == ([] if old is None else ["map.json"])
+
+    def test_overwrite_keeps_the_file_mode(self, tmp_path, capsys):
+        out = tmp_path / "map.json"
+        out.write_text("old")
+        out.chmod(0o640)
+        spec = json.dumps({"family": "depolarizing", "n": 2, "params": {"lambda": 0.5}})
+        assert run_cli(capsys, "generate", "--spec", spec, "--out", str(out))[0] == 0
+        assert out.read_text() == dumps(superop_to_json(depolarizing(2, 0.5)))
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_symbolic_link_is_followed(self, tmp_path, capsys):
+        target, link = tmp_path / "real.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        spec = json.dumps({"family": "depolarizing", "n": 2, "params": {"lambda": 0.5}})
+        assert run_cli(capsys, "generate", "--spec", spec, "--out", str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_text() == dumps(superop_to_json(depolarizing(2, 0.5)))
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_standard_output_is_written_directly(self, capfd):
+        spec = json.dumps({"family": "depolarizing", "n": 2, "params": {"lambda": 0.5}})
+        assert main(["generate", "--spec", spec, "--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out == dumps(superop_to_json(depolarizing(2, 0.5)))
+
+    def test_memory_peak_below_two_superoperators(self, tmp_path):
+        # Formatting the nested list and joining the text peaked at about 20 x S.
+        spec = {"family": "wigner", "n": 24, "params": {"variant": "direct"}, "seed": 1}
+        nbytes = build_map(spec["family"], 24, spec["params"], 1).mat.nbytes
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--spec", json.dumps(spec),
+                         "--out", str(tmp_path / "map.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * nbytes
 
 
 class TestLemma:

@@ -1,3 +1,4 @@
+import io
 import json
 import tracemalloc
 
@@ -24,17 +25,22 @@ from wignerkit import (
 )
 from wignerkit.cli import main
 from wignerkit.serialize import (
+    dump,
     dumps,
     family_spec_from_json,
+    iterdumps,
     matrix_from_json,
     matrix_to_json,
     report_to_json,
+    superop_document,
     superop_from_json,
     superop_to_json,
 )
 from wignerkit.superop import MAX_ENTRY
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
+FAMILY_PARAMS = {"wigner": {"variant": "transpose"}, "depolarizing": {"lambda": 0.3},
+                 "pseudo_depolarizing": {"mu": 0.7}, "perturbed_wigner": {"epsilon": 1e-3}}
 
 
 def reference_dumps(obj) -> str:
@@ -240,10 +246,7 @@ class TestDumps:
     @pytest.mark.parametrize("n", range(1, 17))
     @pytest.mark.parametrize("family", FAMILIES)
     def test_map_files_match_reference(self, family, n, repr_tag):
-        params = {"wigner": {"variant": "transpose"}, "depolarizing": {"lambda": 0.3},
-                  "pseudo_depolarizing": {"mu": 0.7},
-                  "perturbed_wigner": {"epsilon": 1e-3}}[family]
-        obj = superop_to_json(build_map(family, n, params, seed=n), repr_tag)
+        obj = superop_to_json(build_map(family, n, FAMILY_PARAMS[family], seed=n), repr_tag)
         assert dumps(obj) == reference_dumps(obj)
 
     @pytest.mark.parametrize("s,verdict", [
@@ -303,6 +306,63 @@ class TestDumps:
             tracemalloc.stop()
         assert peak <= 4 * len(text)
 
+    @pytest.mark.parametrize("repr_tag", ["superop", "choi"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_documents_write_superop_to_json_text(self, family, n, repr_tag):
+        s = build_map(family, n, FAMILY_PARAMS[family], seed=n)
+        doc = superop_document(s, repr_tag)
+        assert (doc["data"]["data"] is s.mat) == (repr_tag == "superop")
+        assert dumps(doc) == dumps(superop_to_json(s, repr_tag))
+
+    @pytest.mark.parametrize("obj", [
+        {"n": 1, "data": np.array([[complex("nan+1j")]])},
+        {"n": 2, "data": np.array([[1 + 2j, np.inf], [0, -0.0]])},
+        {"n": 1, "data": np.zeros((1, 2), complex)},
+        {"n": 2, "data": np.zeros((2, 2, 1), complex)},
+        {"n": 1, "data": np.zeros((0, 0), complex)},
+        {"n": 1.0, "data": np.eye(2, dtype=complex)},
+        {"x": np.array([0.5j, -0.0]), "y": [np.eye(1, dtype=complex)]},
+        {"n": 1, "data": np.array([[0.5 - 0.25j]]), "name": "\x000"},
+        {"n": 2, "data": np.eye(2, dtype=complex)[:, ::-1]},
+    ], ids=["nan", "inf", "not square", "3-d", "empty", "float n", "elsewhere",
+            "NUL string", "strided"])
+    def test_odd_arrays_match_reference(self, obj):
+        # Any complex ndarray is written as its nested [re, im] lists.
+        plain = {k: pairs(v) for k, v in obj.items()}
+        assert dumps(obj) == reference_dumps(plain)
+
+    @pytest.mark.parametrize("array", [np.eye(2), np.eye(2, dtype=np.complex64)],
+                             ids=["float64", "complex64"])
+    def test_other_arrays_raise_as_json_does(self, array):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            dumps({"n": 2, "data": array})
+
+    def test_dump_writes_a_row_at_a_time(self):
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, piece):
+                sizes.append(len(piece))
+                return super().write(piece)
+
+        s = wigner_map(haar_unitary(4, 2))
+        fh = Recorder()
+        dump(superop_document(s), fh)
+        assert fh.getvalue() == dumps(superop_to_json(s))
+        # The text before the block, one piece per row, the block's close and the rest.
+        assert len(sizes) == 16 + 4
+        assert max(sizes) < len(fh.getvalue()) / 10
+
+
+def pairs(value):
+    """value with every complex ndarray in it replaced by its nested [re, im] lists."""
+    if isinstance(value, np.ndarray):
+        return np.stack([value.real, value.imag], axis=-1).tolist()
+    if isinstance(value, list):
+        return [pairs(v) for v in value]
+    return value
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 within_ceiling = st.floats(-MAX_ENTRY, MAX_ENTRY)
@@ -326,6 +386,27 @@ def finite_matrices(draw):
     return np.array(values).view(complex).reshape(n, n)
 
 
+# Values whose text is easy to get wrong: signed zero, subnormals, the
+# largest magnitude a SuperOp holds, and whole numbers.
+wire_floats = (finite | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e59, -1e59])
+               | st.integers(-(2**53), 2**53).map(float))
+
+
+@st.composite
+def complex_arrays(draw):
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(wire_floats, min_size=2 * n * n, max_size=2 * n * n))
+    m = np.array(values).view(complex).reshape(n, n)
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
+def wrap(kind: str, block: dict) -> dict:
+    if kind == "report":
+        return {"verdict": "wigner", "reasons": [], "variant": "direct", "unitary": block,
+                "residual": 1e-16, "hypotheses": {"unital": True, "positivity": None}}
+    return {"n": 1, "convention": CONVENTION, "repr": kind, "data": block}
+
+
 class TestProperties:
     @PROPERTY
     @given(finite_matrices())
@@ -334,6 +415,15 @@ class TestProperties:
         text = dumps(obj)
         assert text == reference_dumps(obj)
         np.testing.assert_array_equal(bits(matrix_from_json(json.loads(text))), bits(m))
+
+    @PROPERTY
+    @given(complex_arrays(), st.sampled_from(["superop", "choi", "report"]))
+    def test_array_blocks_write_the_nested_list_text(self, m, kind):
+        expected = reference_dumps(wrap(kind, matrix_to_json(m)))
+        obj = wrap(kind, {"n": m.shape[0], "data": m})
+        fh = io.StringIO()
+        dump(obj, fh)
+        assert "".join(iterdumps(obj)) == fh.getvalue() == dumps(obj) == expected
 
     @PROPERTY
     @given(st.integers(1, 4).flatmap(lambda n: st.lists(
