@@ -38,7 +38,6 @@ from .matrix_core import (
     phase_distance,
     random_hermitian,
     random_rank_k_projection,
-    random_rank_k_projections,
     random_unit_vector,
     require_unitary,
     validate_projection,

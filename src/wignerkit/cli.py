@@ -87,12 +87,10 @@ def _cmd_analyze(args) -> int:
     if args.tol is not None:
         cfg = cfg.with_tolerance(args.tol)
     report = classify(s, args.k, cfg)
-    text = dumps(report_to_json(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_through_temporary(args.out, report_to_json(report))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(report_to_json(report)))
     return 0 if report.verdict == "wigner" else 1
 
 

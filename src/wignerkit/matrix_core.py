@@ -219,12 +219,11 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _entropy_words(seed) -> list[int]:
-    # SeedSequence's entropy as uint32 words: each int, 0 included, split into
-    # 32-bit words, least significant first; a tuple or list concatenates
-    # the words of its entries.
+def _entropy_words(prefix) -> list[int]:
+    # SeedSequence's entropy for a tuple of ints, as uint32 words: each
+    # entry, 0 included, split into 32-bit words, least significant first.
     words = []
-    for entry in seed if isinstance(seed, (tuple, list)) else (seed,):
+    for entry in prefix:
         entry = int(entry)
         words.append(entry & _MASK32)
         while entry := entry >> 32:
@@ -241,27 +240,29 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.nd
     return consts[:-1], consts[1:]
 
 
-def _standard_normals(seeds, shape) -> np.ndarray:
-    """Row t is np.random.default_rng(seeds[t]).standard_normal(shape), bit for bit.
+def _standard_normals(prefix: tuple, count: int, shape) -> np.ndarray:
+    """Row i is np.random.default_rng(prefix + (i,)).standard_normal(shape),
+    bit for bit, for i < count <= MAX_DRAWS.
 
     default_rng(seed) is Generator(PCG64(SeedSequence(seed))), and nearly all
     of its cost is the SeedSequence. This runs SeedSequence's hashing for
-    every seed at once, as uint32 arithmetic on one row per seed: the pool of
-    4 words (mix_entropy), then generate_state(4, np.uint64). PCG64 seeds
-    itself from those words (a, b, c, d) as inc = 2 (c 2^64 + d) + 1 and
-    state = ((inc + a 2^64 + b) M + inc), both mod 2^128, M its LCG
+    every stream at once, as uint32 arithmetic on one row per stream: the
+    pool of 4 words (mix_entropy), then generate_state(4, np.uint64). PCG64
+    seeds itself from those words (a, b, c, d) as inc = 2 (c 2^64 + d) + 1
+    and state = ((inc + a 2^64 + b) M + inc), both mod 2^128, M its LCG
     multiplier. One PCG64 and one Generator, made for this call alone (a
     shared one would not be thread-safe), then take each stream's state in
     turn and draw from it. NumPy keeps both algorithms stable (NEP 19), and
-    the tests pin the streams to default_rng's. Seeds must be valid already.
+    the tests pin the streams to default_rng's. The prefix must be a valid
+    seed tuple already.
     """
-    out = np.empty((len(seeds), *shape))
-    if not len(seeds):
-        return out
-    words = [_entropy_words(seed) for seed in seeds]
-    lengths = np.array([len(w) for w in words])
-    width = max(4, int(lengths.max()))
-    entropy = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32)
+    out = np.empty((count, *shape))
+    # The prefix's words, then the index: one word, as count <= MAX_DRAWS.
+    words = _entropy_words(prefix)
+    width = max(4, len(words) + 1)
+    entropy = np.zeros((count, width), dtype=np.uint32)
+    entropy[:, :len(words)] = words
+    entropy[:, len(words)] = np.arange(count)
     # Every row runs the same sequence of hashes, so one list of constants
     # serves all: 4 to fill the pool, 12 to mix it, 4 per word beyond it.
     before, after = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (width - 4))
@@ -281,10 +282,9 @@ def _standard_normals(seeds, shape) -> np.ndarray:
         dst = [d for d in range(4) if d != src]
         pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src, None], j, 3))
         j += 3
-    # Words beyond the pool mix into every pool word; shorter seeds stop earlier.
+    # Words beyond the pool mix into every pool word.
     for src in range(4, width):
-        mixed = mix(pool, hashmix(entropy[:, src, None], j, 4))
-        pool = np.where((lengths > src)[:, None], mixed, pool)
+        pool = mix(pool, hashmix(entropy[:, src, None], j, 4))
         j += 4
     # generate_state: 8 words hashed from the pool cycled twice, read as 4
     # little-endian uint64.
@@ -320,7 +320,7 @@ def haar_unitary(n: int, seed=0) -> np.ndarray:
     Ginibre sample, QR factorization, then rescale Q's columns so R's
     diagonal is real positive (F. Mezzadri, Notices AMS 54 (2007) 592);
     plain QR without the rescale is not Haar. It is the k = n case of the
-    column sampler behind random_rank_k_projections.
+    column sampler behind random_rank_k_projection.
     """
     require_count("n", n, 1)
     require_seed(seed)
@@ -336,38 +336,16 @@ def require_unitary(u) -> np.ndarray:
     return u
 
 
-def random_rank_k_projections(n: int, k: int, seeds) -> np.ndarray:
-    """Haar-random rank-k projections U diag(1 x k, 0 x (n-k)) U*, one per seed.
-
-    Returns a len(seeds) x n x n stack; draw t depends on seeds[t] alone, so
-    a stack equals its draws made one seed at a time, bit for bit. V holds the
-    first k columns of haar_unitary(n, seed), found by a QR of the first k
-    Ginibre columns alone: Householder QR builds column j of Q and R[j, j]
-    from Ginibre columns 0..j only, so they equal the full QR's (the tests
-    pin that bit for bit up to n = 64), while each stream still draws all
-    2 n^2 normals. The streams come from _standard_normals, which seeds all
-    of them in one pass and equals np.random.default_rng(seed) stream by
-    stream. Each draw is certified from its k x k Gram matrix V*V, with no
-    further n x n product and no eigensolve (see _rank_k_projections); only
-    a draw that bound leaves open goes to projection_ranks.
-    NotAProjectionError if any is not a rank-k projection within
-    DEFAULT_PROJECTION_TOL.
-    """
-    require_count("n", n, 1)
-    require_rank(k, n)
-    try:
-        seeds = list(seeds)
-    except TypeError:
-        raise BadParameterError(
-            f"seeds must be a sequence of seeds, not {type(seeds).__name__}") from None
-    for seed in seeds:
-        require_seed(seed)
-    return _rank_k_projections(k, _standard_normals(seeds, (2, n, n)))
-
-
 def _rank_k_projections(k: int, g: np.ndarray) -> np.ndarray:
-    """random_rank_k_projections on a drawn Ginibre stack: m = fl(V V*) for the
-    n x k Haar columns V of each sample, certified from the k x k Gram matrix.
+    """Haar-random rank-k projections from a drawn Ginibre stack: m = fl(V V*)
+    for the n x k Haar columns V of each sample, certified from the k x k
+    Gram matrix, with no further n x n product and no eigensolve.
+
+    V holds the first k columns of the Haar unitary of haar_unitary's
+    recipe, found by a QR of the first k Ginibre columns alone: Householder
+    QR builds column j of Q and R[j, j] from Ginibre columns 0..j only, so
+    they equal the full QR's (the tests pin that bit for bit up to n = 64),
+    while each sample still holds all 2 n^2 normals.
 
     Let G = V*V - I and g = ||G||_F. P = V V* is Hermitian with the nonzero
     eigenvalues of V*V = I + G, so k of them lie within g of 1 and the other
@@ -405,8 +383,11 @@ def _rank_k_projections(k: int, g: np.ndarray) -> np.ndarray:
 
 
 def random_rank_k_projection(n: int, k: int, seed=0) -> Projection:
-    """Haar-random rank-k projection: random_rank_k_projections for one seed,
-    drawn from np.random.default_rng(seed) itself."""
+    """Haar-random rank-k projection U diag(1 x k, 0 x (n-k)) U*, with V the
+    first k columns of haar_unitary(n, seed), drawn from
+    np.random.default_rng(seed) and certified by _rank_k_projections.
+    NotAProjectionError if it is not a rank-k projection within
+    DEFAULT_PROJECTION_TOL."""
     require_count("n", n, 1)
     require_rank(k, n)
     require_seed(seed)

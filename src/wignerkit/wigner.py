@@ -256,9 +256,7 @@ def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
     indicator = np.zeros((len(subsets), n))
     indicator[np.arange(len(subsets))[:, None], subsets] = 1.0
 
-    prefix = derive_seed(seed, 0)
-    draws = _rank_k_projections(
-        k, _standard_normals([prefix + (i,) for i in range(samples)], (2, n, n)))
+    draws = _rank_k_projections(k, _standard_normals(derive_seed(seed, 0), samples, (2, n, n)))
     # Row t of images is vec(phi(Q_t)) = S vec(Q_t). Column i + n i of S is
     # vec(phi(E_ii)), so a basis-subset projection maps to the sum of those
     # columns over its subset (a copy of those n columns, n^3 entries, lets

@@ -110,6 +110,44 @@ class TestGenerateAnalyze:
         assert stdout == ""
         assert json.loads(report_file.read_text())["verdict"] == "wigner"
 
+    @pytest.mark.parametrize("old", [b'{"old": true}\n', None], ids=["existing", "absent"])
+    def test_analyze_failed_write_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                       old):
+        mapfile, report_file = tmp_path / "m.json", tmp_path / "r.json"
+        spec = json.dumps({"family": "wigner", "n": 4, "seed": 1})
+        assert run_cli(capsys, "generate", "--spec", spec, "--out", str(mapfile))[0] == 0
+        if old is not None:
+            report_file.write_bytes(old)
+        written = []
+
+        def failing_dump(obj, fh):
+            # The text before the unitary's block and its first row reach the file.
+            for piece in iterdumps(obj):
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+                fh.write(piece)
+                fh.flush()
+                written.append(piece)
+
+        monkeypatch.setattr(cli, "dump", failing_dump)
+        code, stdout, err = run_cli(capsys, "analyze", str(mapfile), "--k", "2",
+                                    "--out", str(report_file))
+        assert code == 2 and stdout == "" and "No space left on device" in err
+        assert len(written) == 2
+        assert (report_file.read_bytes() if report_file.exists() else None) == old
+        assert sorted(os.listdir(tmp_path)) == ["m.json"] + ([] if old is None else ["r.json"])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_analyze_to_standard_output_is_written_directly(self, tmp_path, capfd):
+        mapfile = tmp_path / "m.json"
+        spec = json.dumps({"family": "wigner", "n": 3, "seed": 2})
+        assert main(["generate", "--spec", spec, "--out", str(mapfile)]) == 0
+        assert main(["analyze", str(mapfile), "--k", "1"]) == 0
+        text = capfd.readouterr().out
+        assert main(["analyze", str(mapfile), "--k", "1", "--out", "/dev/stdout"]) == 0
+        assert capfd.readouterr().out == text
+        assert json.loads(text)["verdict"] == "wigner"
+
     def test_tol_override_accepts_perturbed(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         spec = json.dumps({"family": "perturbed_wigner", "n": 3,

@@ -13,7 +13,6 @@ from wignerkit import (
     phase_distance,
     random_hermitian,
     random_rank_k_projection,
-    random_rank_k_projections,
     random_unit_vector,
     require_unitary,
     validate_projection,
@@ -173,10 +172,11 @@ class TestRandomProjection:
             return columns
 
         monkeypatch.setattr(matrix_core, "_haar_columns", scaled_identity_columns(range(2)))
-        np.testing.assert_array_equal(random_rank_k_projections(4, 2, [0]),
+        g = np.zeros((2, 2, 4, 4))
+        np.testing.assert_array_equal(matrix_core._rank_k_projections(2, g[:1]),
                                       [np.diag([1.0, 1.0, 0.0, 0.0])])
         with pytest.raises(NotAProjectionError):
-            random_rank_k_projections(4, 2, [0, 1])
+            matrix_core._rank_k_projections(2, g)
         monkeypatch.setattr(matrix_core, "_haar_columns", scaled_identity_columns([1]))
         with pytest.raises(NotAProjectionError):
             random_rank_k_projection(4, 2, 1)
@@ -195,15 +195,13 @@ class TestPhaseDistance:
 
 @pytest.mark.parametrize("value", [1.5, True, "2"])
 @pytest.mark.parametrize("call", [
-    lambda v: random_rank_k_projections(3, v, [0]),
-    lambda v: random_rank_k_projections(v, 1, [0]),
+    lambda v: random_rank_k_projection(3, v),
     lambda v: random_rank_k_projection(v, 1),
     lambda v: haar_unitary(v),
     lambda v: random_unit_vector(v),
     lambda v: random_hermitian(v),
-], ids=["random_rank_k_projections-k", "random_rank_k_projections-n",
-        "random_rank_k_projection-n", "haar_unitary-n", "random_unit_vector-n",
-        "random_hermitian-n"])
+], ids=["random_rank_k_projection-k", "random_rank_k_projection-n", "haar_unitary-n",
+        "random_unit_vector-n", "random_hermitian-n"])
 def test_non_integer_rank_or_dimension_rejected(call, value):
     # Unchecked, 1.5 and "2" end in a bare TypeError and True runs as 1.
     with pytest.raises(BadParameterError):
@@ -214,11 +212,9 @@ def test_non_integer_rank_or_dimension_rejected(call, value):
 @pytest.mark.parametrize("call", [
     lambda s: haar_unitary(3, s),
     lambda s: random_rank_k_projection(3, 1, s),
-    lambda s: random_rank_k_projections(3, 1, [0, s]),
     lambda s: random_hermitian(3, s),
     lambda s: random_unit_vector(3, s),
-], ids=["haar_unitary", "random_rank_k_projection", "random_rank_k_projections",
-        "random_hermitian", "random_unit_vector"])
+], ids=["haar_unitary", "random_rank_k_projection", "random_hermitian", "random_unit_vector"])
 def test_sampler_seed_rejected(call, seed):
     # Unchecked, None draws from OS entropy, True runs as 1, and 1.5 and -1
     # end in a bare TypeError or ValueError.

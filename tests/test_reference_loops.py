@@ -68,7 +68,6 @@ from wignerkit import (
     positivity_certificate,
     preserves_rank_k,
     random_rank_k_projection,
-    random_rank_k_projections,
     random_unit_vector,
     validate_projection,
 )
@@ -122,13 +121,17 @@ def make_map(kind: str, n: int, seed: int) -> SuperOp:
     return SuperOp(n, z / n)
 
 
-def ref_hermiticity_preserving(s: SuperOp, tol: float) -> bool:
-    n = s.n
+def ref_hermitian_basis(n: int) -> list:
+    # The n^2 standard Hermitian basis elements.
     basis = [_unit(n, i, i) for i in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         basis.append(_unit(n, i, j) + _unit(n, j, i))
         basis.append(1j * (_unit(n, i, j) - _unit(n, j, i)))
-    for h in basis:
+    return basis
+
+
+def ref_hermiticity_preserving(s: SuperOp, tol: float) -> bool:
+    for h in ref_hermitian_basis(s.n):
         out = apply(s, h)
         if np.linalg.norm(out - out.conj().T) > tol * max(1.0, np.linalg.norm(h)):
             return False
@@ -200,6 +203,26 @@ def test_hermiticity_off_diagonal_threshold_is_tol_sqrt2(phase, factor, expected
     assert is_hermiticity_preserving(s, tol) is expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), single_entry=st.booleans(),
+       factor=st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-9))
+def test_hermiticity_near_its_threshold_matches_basis_loop(n, seed, single_entry, factor):
+    # A Hermiticity-preserving map plus a perturbation of S, checked at the
+    # tol that puts its worst basis deviation at factor times the threshold.
+    rng = np.random.default_rng(seed)
+    s = make_map("random_hp", n, seed % 1000)
+    p = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    if single_entry:
+        p *= np.arange(p.size).reshape(p.shape) == rng.integers(p.size)
+    s = SuperOp(n, s.mat + 1e-8 * p / np.linalg.norm(p))
+    worst = 0.0
+    for h in ref_hermitian_basis(n):
+        out = apply(s, h)
+        worst = max(worst, np.linalg.norm(out - out.conj().T) / max(1.0, np.linalg.norm(h)))
+    tol = worst / factor
+    assert is_hermiticity_preserving(s, tol) == ref_hermiticity_preserving(s, tol) == (factor < 1)
+
+
 def test_hermiticity_diagonal_threshold_is_tol():
     # phi(E_00) - phi(E_00)* = 2i eps E_00 with 2 eps = 1.2 tol fails at tol.
     tol = 1e-10
@@ -258,7 +281,8 @@ def ref_audit(s: SuperOp, k: int, samples: int, tol: float, seed):
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
     basis = np.zeros((len(subsets), n, n), dtype=complex)
     basis[np.arange(len(subsets))[:, None], subsets, subsets] = 1.0
-    draws = random_rank_k_projections(n, k, [derive_seed(seed, 0, i) for i in range(samples)])
+    draws = [random_rank_k_projection(n, k, derive_seed(seed, 0, i)).matrix
+             for i in range(samples)]
     tests = np.concatenate([basis, draws])
     images = np.tensordot(tests, superop.unit_images(s), axes=2)
     ranks, residuals = projection_ranks(images, tol)
@@ -356,11 +380,13 @@ def ref_haar_unitary(n: int, seed) -> np.ndarray:
 def test_stacked_draws_match_per_seed_draws(n):
     # The draws QR only their first k Ginibre columns; they must equal the
     # first k columns of the full QR.
-    seeds = [derive_seed((9, n), 0, i) for i in range(12)]
+    prefix = derive_seed((9, n), 0)
+    seeds = [prefix + (i,) for i in range(12)]
     for seed in seeds:
         assert np.array_equal(haar_unitary(n, seed), ref_haar_unitary(n, seed))
+    g = _standard_normals(prefix, len(seeds), (2, n, n))
     for k in range(1, n) if n <= 8 else sorted({1, n // 2, n - 1}):
-        stack = random_rank_k_projections(n, k, seeds)
+        stack = matrix_core._rank_k_projections(k, g)
         assert stack.shape == (len(seeds), n, n)
         for m, seed in zip(stack, seeds):
             v = ref_haar_unitary(n, seed)[:, :k]
@@ -372,25 +398,26 @@ def test_stacked_draws_match_per_seed_draws(n):
 SEED_INTS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130]) | st.integers(0, 2**130)
 SEED_ENTRIES = (SEED_INTS | st.integers(0, 2**63 - 1).map(np.int64)
                 | st.integers(0, 2**64 - 1).map(np.uint64) | st.integers(0, 255).map(np.uint8))
-SEEDS = SEED_ENTRIES | st.lists(SEED_ENTRIES, max_size=8) | st.lists(
-    SEED_ENTRIES, max_size=8).map(tuple)
+PREFIXES = st.lists(SEED_ENTRIES, max_size=8).map(tuple)
 
 
 @settings(max_examples=300, deadline=None)
-@given(seeds=st.lists(SEEDS, max_size=6), n=st.integers(1, 6), matrices=st.booleans())
-@example(seeds=[], n=3, matrices=True)
-@example(seeds=[(2**40 + 3, 1, 2, 3, 4, 5, 6, 7)], n=2, matrices=False)
-@example(seeds=[0, (), [1], (2**32, 0, 2**130), np.uint64(2**64 - 1)], n=4, matrices=True)
-def test_seeded_streams_equal_default_rng(seeds, n, matrices):
-    # The stacked seeding reproduces SeedSequence and PCG64's seeding: ints
-    # of 1 to 5 words, tuples and lists of 0 to 8 entries (up to 40 words,
-    # so entropy beyond the 4-word pool is mixed in) and mixed lengths in
-    # one stack.
+@given(prefix=PREFIXES, count=st.integers(0, 6), n=st.integers(1, 6), matrices=st.booleans())
+@example(prefix=(), count=0, n=3, matrices=True)
+@example(prefix=(), count=3, n=2, matrices=False)
+@example(prefix=(2**40 + 3, 1, 2, 3, 4, 5, 6, 7), count=2, n=2, matrices=False)
+@example(prefix=(2**32, 0, 2**130), count=6, n=4, matrices=True)
+@example(prefix=(np.uint64(2**64 - 1),), count=1, n=1, matrices=True)
+def test_seeded_streams_equal_default_rng(prefix, count, n, matrices):
+    # The stacked seeding reproduces SeedSequence and PCG64's seeding for the
+    # streams prefix + (i,): prefixes of 0 to 8 entries of 1 to 5 words each
+    # (up to 41 words with the index, so entropy beyond the 4-word pool is
+    # mixed in) and counts of 0 to 6.
     shape = (2, n, n) if matrices else (2, n)
-    got = _standard_normals(seeds, shape)
-    assert got.shape == (len(seeds), *shape)
-    for row, seed in zip(got, seeds):
-        assert np.array_equal(row, np.random.default_rng(seed).standard_normal(shape))
+    got = _standard_normals(prefix, count, shape)
+    assert got.shape == (count, *shape)
+    for i, row in enumerate(got):
+        assert np.array_equal(row, np.random.default_rng(prefix + (i,)).standard_normal(shape))
 
 
 def test_default_rng_is_pcg64():
@@ -430,6 +457,11 @@ def test_audit_draws_match_per_seed_draws_at_large_seeds(monkeypatch, n, k, seed
     assert abs(audit.max_residual - worst) <= 1e-12
 
 
+def ginibre_stack(seeds, n: int) -> np.ndarray:
+    # One 2 x n x n block of standard normals per seed, from default_rng itself.
+    return np.stack([np.random.default_rng(seed).standard_normal((2, n, n)) for seed in seeds])
+
+
 def refuse_projection_ranks(*args):
     raise AssertionError("a draw went to projection_ranks")
 
@@ -445,7 +477,7 @@ def test_gram_certificate_proves_every_haar_draw(n, k, seeds):
     # The k x k Gram matrix proves every draw, and projection_ranks, run
     # afterwards as an independent check, gives each rank k.
     k = 1 + (k - 1) % n
-    g = _standard_normals(seeds, (2, n, n))
+    g = ginibre_stack(seeds, n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_core, "projection_ranks", refuse_projection_ranks)
         draws = matrix_core._rank_k_projections(k, g)
@@ -461,10 +493,10 @@ def test_draws_the_gram_bound_leaves_open_go_to_projection_ranks(monkeypatch):
     haar_columns = matrix_core._haar_columns
     monkeypatch.setattr(matrix_core, "_haar_columns", lambda k, g: (1 + c) * haar_columns(k, g))
     calls = recorded_projection_ranks(monkeypatch, matrix_core)
-    seeds = [0, (1, 2), 2**70]
-    draws = random_rank_k_projections(6, 2, seeds)
+    g = ginibre_stack([0, (1, 2), 2**70], 6)
+    draws = matrix_core._rank_k_projections(2, g)
     assert [list(ranks) for ranks, _ in calls] == [[2, 2, 2]]
-    v = (1 + c) * haar_columns(2, _standard_normals(seeds, (2, 6, 6)))
+    v = (1 + c) * haar_columns(2, g)
     assert np.array_equal(draws, v @ v.conj().swapaxes(-1, -2))
 
 

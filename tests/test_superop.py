@@ -232,6 +232,13 @@ class TestHypothesisChecks:
         s = SuperOp(2, np.kron(np.eye(2), m))  # a -> M a
         assert not is_hermiticity_preserving(s, 1e-10)
 
+    @pytest.mark.parametrize("tol", [1e200, 1.7e308])
+    def test_huge_tolerance_accepts_any_map(self, tol):
+        # tol^2 is beyond the float range; as a Python float power it would
+        # raise OverflowError instead of reading as infinity.
+        s = SuperOp(2, np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])))
+        assert is_hermiticity_preserving(s, tol)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-10, True])
     def test_bad_tolerance_rejected(self, tol):
         # NaN fails every comparison, so unchecked it would call a -> M a

@@ -37,7 +37,6 @@ from wignerkit import (
     pseudo_depolarizing,
     random_hermitian,
     random_rank_k_projection,
-    random_rank_k_projections,
     random_unit_vector,
     transpose_superop,
     validate_projection,
@@ -290,9 +289,7 @@ _FORM = wigner.WignerForm(u=np.eye(3, dtype=complex), variant=DIRECT, residual=0
     pytest.param(lambda: vector_state_partner(_FORM, np.array([np.nan, 1.0, 0.0])),
                  NonFiniteError, id="partner-nan"),
     pytest.param(lambda: phase_distance(np.eye(2), np.eye(3)), DimensionMismatchError,
-                 id="phase_distance-shapes"),
-    pytest.param(lambda: random_rank_k_projections(3, 1, 5), BadParameterError,
-                 id="projections-int-seeds")])
+                 id="phase_distance-shapes")])
 def test_bad_library_input_raises_typed_error(call, error):
     with pytest.raises(error):
         call()
@@ -542,8 +539,8 @@ class TestModelCertificate:
         subsets = itertools.islice(itertools.combinations(range(n), k),
                                    wigner.BASIS_SUBSET_CAP)
         tests = [np.diag([1.0 if i in sub else 0.0 for i in range(n)]) for sub in subsets]
-        tests += list(random_rank_k_projections(
-            n, k, [derive_seed(audit_seed, 0, i) for i in range(8)]))
+        tests += [random_rank_k_projection(n, k, derive_seed(audit_seed, 0, i)).matrix
+                  for i in range(8)]
         for q in tests:
             moved = q.T if form.variant == TRANSPOSE else q
             gap = np.linalg.norm(apply(s, q) - form.u @ moved @ form.u.conj().T)
@@ -643,7 +640,8 @@ class TestAuditLayout:
 
     # At n = 32, S takes 16 MB. The audit maps its tests by products with S
     # itself, never a copy of it, and the fit holds one n^4 model at a time,
-    # from which it subtracts S in place.
+    # from which it subtracts S in place. The Hermiticity test holds two
+    # copies of half the unit images and forms d_ij in one of them.
     @staticmethod
     def peak_bytes(call) -> int:
         tracemalloc.start()
@@ -662,6 +660,10 @@ class TestAuditLayout:
     def test_fit_at_n32_allocates_one_model(self, variant):
         s = wigner_map(haar_unitary(32, 5), variant)
         assert self.peak_bytes(lambda: extract_unitary(s)) < 1.25 * s.mat.nbytes
+
+    def test_hermiticity_test_at_n32_allocates_about_one_s(self):
+        s = wigner_map(haar_unitary(32, 5))
+        assert self.peak_bytes(lambda: is_hermiticity_preserving(s)) < 1.25 * s.mat.nbytes
 
 
 @pytest.mark.parametrize("value", [1.5, True, "2"])
