@@ -205,7 +205,8 @@ def is_hermiticity_preserving(s: SuperOp, tol: float = 1e-10) -> bool:
     h = i(E_ij - E_ji) gives i(d_ij + d_ij*), both within tol * sqrt(2).
     As max(||d - d*||_F, ||d + d*||_F)^2 = 2(||d||_F^2 + |Re tr d^2|), and
     d_ii* = -d_ii, all three are one test: ||d||_F^2 + |Re tr d^2| within
-    2 tol^2 for i = j and tol^2 for i < j.
+    c tol^2, c = 2 for i = j and 1 for i < j. It is compared as
+    sqrt(size / c) <= tol, which squares no tol, so no finite tol overflows.
     """
     require_instance("s", s, SuperOp)
     require_tolerance("tol", tol)
@@ -216,7 +217,7 @@ def is_hermiticity_preserving(s: SuperOp, tol: float = 1e-10) -> bool:
     d -= np.conjugate(b, out=b).swapaxes(-1, -2)
     size = np.einsum("tab,tab->t", d.real, d.real) + np.einsum("tab,tab->t", d.imag, d.imag)
     size += np.abs(np.einsum("tab,tba->t", d, d).real)
-    return bool(np.all(size <= np.where(i == j, 2.0, 1.0) * tol * tol))
+    return bool(np.all(np.sqrt(size / np.where(i == j, 2.0, 1.0)) <= tol))
 
 
 def _rank1_images(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:

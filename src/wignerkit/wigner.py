@@ -12,7 +12,8 @@ Superoperators follow the column-stacking convention (see superop).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +70,9 @@ BASIS_SUBSET_CAP = 100
 # Entries below this are treated as zero by the phase-gauge convention.
 PHASE_GAUGE_EPS = 1e-8
 
+# The unit roundoff of float64 arithmetic, np.finfo(float).eps.
+EPS = 2.0 ** -52
+
 
 @dataclass
 class Lemma1Decomposition:
@@ -100,17 +104,28 @@ class WignerForm:
 
 @dataclass
 class RankKAudit:
-    """Sampling audit of rank-k projection preservation.
+    """Audit of rank-k projection preservation.
 
     samples counts every projection tested (requested random draws plus the
     standard-basis subset projections), and max_residual is the largest
     ||phi(Q)^2 - phi(Q)||_F among their images. The draws are certified
-    from their k x k Gram matrices, the images by one projection_ranks
-    call. inverse_pass is derived, not sampled: it holds when every sample
-    passed and the map is invertible (cond(S) <= 1e12), which is "onto"
-    given "into" (see preserves_rank_k).
-    classify proves invertibility from its fitted model when it can, with
-    no SVD: sigma_min(S) >= sigma_min(S_model) - delta >= 1 - epsilon - delta
+    from their k x k Gram matrices. inverse_pass is derived, not sampled:
+    it holds when every sample passed and the map is invertible
+    (cond(S) <= 1e12), which is "onto" given "into" (see preserves_rank_k).
+    proof says how pass_fraction was decided; it is neither written to
+    report files nor compared by ==. "sampled": one projection_ranks call
+    certified each image, as preserves_rank_k always does. "model":
+    classify's fitted model proved that every rank-k projection maps to a
+    rank-k projection that projection_ranks certifies, and that every
+    audit image is one (_proves_rank_k runs projection_ranks' own test on
+    the model's bounds for each image), so pass_fraction is 1 with no
+    per-image test, and max_residual is still computed from the images as
+    projection_ranks computes it. An infinite or NaN delta or epsilon
+    proves nothing. The proof holds up to about
+    delta = tol / (8 (k + 2 sqrt(k))), tol the projection tolerance, less
+    rounding terms at large n.
+    classify proves invertibility from its fitted model too, with no SVD:
+    sigma_min(S) >= sigma_min(S_model) - delta >= 1 - epsilon - delta
     (see AnalysisReport), so epsilon + delta <= 1/2 gives cond(S) <= 3.
     Otherwise it computes cond(S), as preserves_rank_k always does.
     """
@@ -120,6 +135,7 @@ class RankKAudit:
     pass_fraction: float
     max_residual: float
     inverse_pass: bool
+    proof: str = field(default="sampled", compare=False)
 
 
 @dataclass
@@ -127,15 +143,16 @@ class AnalysisReport:
     """Full verdict: which hypotheses hold and the recovered form, if any.
 
     delta and epsilon come from the conjugation model that classify fits to
-    a unital, Hermiticity-preserving map, and are None when there is no
-    such map or the fit fails. delta = ||S - S_model||_F is the
+    a unital map, and are None when the map is not unital or not
+    Hermiticity-preserving, or the fit fails. delta = ||S - S_model||_F is the
     root-sum-square of the per-unit deviations whose maximum is the form's
     residual, and it bounds the operator norm of phi - model. epsilon =
     ||U* U - I||_F is the fitted U's distance from unitarity. So
     lambda_min(phi(x x*)) >= -delta for every unit x, sigma_min(S) >=
     1 - epsilon - delta, and every rank-k projection Q maps to within
-    delta sqrt(k) of U Q U* (U Q^t U* for the transpose variant). Neither
-    is written to report files.
+    delta sqrt(k) of U Q U* (U Q^t U* for the transpose variant). Both
+    models preserve Hermiticity exactly, so phi(E_ij) - phi(E_ji)* is within
+    twice the residual of 0. Neither is written to report files.
     """
 
     unital: bool
@@ -247,9 +264,11 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
 
 
 def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
-                  invertible: bool = False) -> RankKAudit:
-    # preserves_rank_k on arguments already checked. invertible says S is
-    # already known to be invertible, so cond(S) is not computed.
+                  delta: float = np.inf, epsilon: float = np.inf) -> RankKAudit:
+    # preserves_rank_k on arguments already checked. delta and epsilon come
+    # from classify's fitted model (see AnalysisReport): epsilon + delta <= 1/2
+    # proves S invertible with no cond(S), and _proves_rank_k may prove every
+    # image's rank with no per-image test.
     n = s.n
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
@@ -266,11 +285,66 @@ def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
     np.matmul(vec(draws), s.mat.T, out=images[len(subsets):])
     # Row t read row-major is phi(Q_t)^T, C-ordered: a projection exactly when
     # phi(Q_t) is, of the same rank, and with the same residual norms.
-    ranks, residuals = projection_ranks(images.reshape(-1, n, n), tol)
-    pass_fraction = np.count_nonzero(ranks == k) / len(images)
+    ms = images.reshape(-1, n, n)
+    proven = _proves_rank_k(n, k, tol, delta, epsilon, 0.0)
+    if proven:
+        # The residuals exactly as projection_ranks computes them.
+        residuals = np.linalg.norm(ms @ ms - ms, axis=(-2, -1))
+        proven = _proves_rank_k(n, k, tol, delta, epsilon, float(residuals.max()))
+    if proven:
+        pass_fraction = 1.0
+    else:
+        ranks, residuals = projection_ranks(ms, tol)
+        pass_fraction = np.count_nonzero(ranks == k) / len(images)
     return RankKAudit(k=k, samples=len(images), pass_fraction=pass_fraction,
                       max_residual=float(residuals.max()),
-                      inverse_pass=pass_fraction == 1.0 and (invertible or is_invertible(s)))
+                      inverse_pass=pass_fraction == 1.0 and (epsilon + delta <= 0.5
+                                                             or is_invertible(s)),
+                      proof="model" if proven else "sampled")
+
+
+def _proves_rank_k(n: int, k: int, tol: float, delta: float, epsilon: float,
+                   residual: float) -> bool:
+    # Whether a conjugation model with ||S - S_model||_F = delta and
+    # ||U*U - I||_F = epsilon, both as _fit_form and classify compute them,
+    # proves that every rank-k projection maps to a rank-k projection that
+    # projection_ranks(., tol) certifies, and that it certifies every audit
+    # image as rank k when residual is their largest ||M^2 - M||_F. It
+    # applies projection_ranks' own test to bounds on each image M's
+    # s = ||M - M*||_F, N = ||M||_F and r = ||M^2 - M||_F (see RankKAudit).
+    # Python floats throughout: an infinite or NaN bound fails the test
+    # without a floating-point warning.
+    # Every input m, an audit draw or any rank-k projection, has
+    # ||m - m*||_F <= skew and ||m||_F <= size and |tr m - k| <= shift: the
+    # draws are fl(V V*) for V V* Hermitian, so the skew is their rounding,
+    # 2k(k + 2) eps twice, and they are certified within
+    # DEFAULT_PROJECTION_TOL (see _rank_k_projections).
+    skew = 4.0 * k * (k + 2) * EPS
+    size = math.sqrt(k) + 2.0 * math.sqrt(n) * DEFAULT_PROJECTION_TOL + skew
+    shift = n * DEFAULT_PROJECTION_TOL
+    # epsilon and delta with the rounding of their own computation, then
+    # ||U||_2^2 <= c and ||S||_F <= ||U||_F^2 + delta <= n c + delta.
+    epsilon = epsilon * (1.0 + n * n * EPS) + 2.0 * n * (n + 2) * EPS
+    c = 1.0 + epsilon
+    delta = delta * (1.0 + 4.0 * n * n * EPS) + 4.0 * n * c * EPS
+    # Each image is model(m) + D, model(m) = U m U* (U m^t U*), with D the
+    # map's deviation from the model on m, at most delta ||m||_F, plus the
+    # rounding of the product with S, (n^2 + 2) eps ||m||_F ||S||_F.
+    e = (delta + (n * n + 2) * EPS * (n * c + delta)) * size
+    # model(m) - model(m)* = model(m - m*) and ||model(x)||_F <= c ||x||_F;
+    # tr model(m) = tr m + tr(m (U*U - I)).
+    norm = c * size + e
+    s = c * skew + 2.0 * e
+    trace_gap = shift + size * epsilon + math.sqrt(n) * e
+    # For a rank-k projection Q, (U Q U*)^2 - U Q U* = U Q (U*U - I) Q U*,
+    # so r <= c epsilon + e (2c + 1 + e); the audit images' r are sampled.
+    r = max(c * epsilon + e * (2.0 * c + 1.0 + e), residual)
+    # projection_ranks' margin, doubled to cover the rounding of its own
+    # s, N and b and of the trace.
+    margin = 32.0 * n * EPS * (norm + 1.0) * (norm + 1.0)
+    b = r + s * (norm + 0.5) + s * s / 4.0 + margin
+    return (4.0 * b <= tol and tol + 2.0 * b < 1.0 and 2.0 * n * b < 0.5
+            and trace_gap + margin < 0.5)
 
 
 def definite_set_check(s: SuperOp, q: Projection) -> float:
@@ -312,9 +386,16 @@ def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
     deviation over all matrix units. The transpose variant of phi is the
     direct variant of phi o T, whose matrix-unit images
     (phi o T)(E_ij) = F_ji are the same blocks with i and j swapped, so one
-    fit serves both; the better variant wins. The deviations are read off
-    S's own layout: each variant's n^4 model is the one temporary, and S is
-    subtracted from it in place.
+    fit serves both; the better variant wins. The likelier variant is
+    fitted first: F_01 F_10 is F_00 for a direct map and F_11 for a
+    transpose one. For any unitaries U and V the two variants' models are
+    at least sqrt(2n(n - 1)) apart in Frobenius norm (their inner product,
+    sum_ij (U*V)_ij (V*U)_ij, is at most n, and each has norm n), so the
+    other variant's worst deviation is at least
+    (sqrt(2n(n - 1)) - delta) / n, and it is not fitted when the residual
+    is within tol and n residual + delta <= sqrt(2n(n - 1)) / 2 proves it
+    the loser. The deviations are read off S's own layout: the
+    n^4 model is the one temporary, and S is subtracted from it in place.
 
     Raises DegenerateImageError when phi(E_11) is not numerically rank 1,
     NotWignerLikeError when both residuals exceed tol.
@@ -360,17 +441,36 @@ def _fit_form(s: SuperOp, tol: float) -> tuple[WignerForm, float]:
         sums = np.einsum("tu,tu->u", parts, parts)
         return np.sqrt(sums[0::2] + sums[1::2])
 
-    u_direct = fit(units)
-    dev_d = deviations(u_direct[None, :, None, :] * u_direct.conj()[:, None, :, None])
-    u_transp = fit(units.swapaxes(0, 1))
-    dev_t = deviations(u_transp[None, :, :, None] * u_transp.conj()[:, None, None, :])
-    res_d, res_t = float(dev_d.max()), float(dev_t.max())
-    if min(res_d, res_t) > tol:
-        raise NotWignerLikeError(
-            f"no conjugation model within {tol:.1e} (direct {res_d:.3e}, transpose {res_t:.3e})")
-    if res_d <= res_t:
-        return WignerForm(u=u_direct, variant=DIRECT, residual=res_d), frobenius(dev_d)
-    return WignerForm(u=u_transp, variant=TRANSPOSE, residual=res_t), frobenius(dev_t)
+    def variant(name: str) -> tuple[np.ndarray, np.ndarray]:
+        # The fitted U of one variant and its per-unit deviations.
+        if name == DIRECT:
+            u = fit(units)
+            return u, deviations(u[None, :, None, :] * u.conj()[:, None, :, None])
+        u = fit(units.swapaxes(0, 1))
+        return u, deviations(u[None, :, :, None] * u.conj()[:, None, None, :])
+
+    # The likelier variant first; the other only when the first's residual
+    # does not prove it the winner (see the docstring for the bound, whose
+    # factor 1/2 covers rounding and the polar factors' distance from
+    # unitarity).
+    first, other = DIRECT, TRANSPOSE
+    if n >= 2:
+        product = units[0, 1] @ units[1, 0]
+        if frobenius(product - units[1, 1]) < frobenius(product - units[0, 0]):
+            first, other = TRANSPOSE, DIRECT
+    u, dev = variant(first)
+    residual, delta = float(dev.max()), frobenius(dev)
+    if not (n >= 2 and residual <= tol
+            and 2.0 * (n * residual + delta) <= math.sqrt(2.0 * n * (n - 1))):
+        u_other, dev_other = variant(other)
+        res_other = float(dev_other.max())
+        res_d, res_t = (residual, res_other) if first == DIRECT else (res_other, residual)
+        if min(res_d, res_t) > tol:
+            raise NotWignerLikeError(f"no conjugation model within {tol:.1e} "
+                                     f"(direct {res_d:.3e}, transpose {res_t:.3e})")
+        if (res_d <= res_t) != (first == DIRECT):
+            first, u, residual, delta = other, u_other, res_other, frobenius(dev_other)
+    return WignerForm(u=u, variant=first, residual=residual), delta
 
 
 def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
@@ -390,47 +490,75 @@ def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
     return np.conj(y) if form.variant == TRANSPOSE else y
 
 
+def _proves_hermiticity(n: int, residual: float, epsilon: float, tol: float) -> bool:
+    # Whether a fitted model with this residual proves that
+    # is_hermiticity_preserving(s, tol) holds. Both models preserve
+    # Hermiticity exactly, so each d_ij = phi(E_ij) - phi(E_ji)* is within
+    # two unit deviations of 0 and that test's ||d||_F^2 + |Re tr d^2| <=
+    # 2 ||d||_F^2 is at most 8 residual^2. The margin covers the rounding of
+    # the residual (the model's entries are products of columns of norm at
+    # most sqrt(1 + epsilon)) and of the test's sums; tol is divided, never
+    # squared, so no size of tol overflows.
+    margin = 8.0 * n * n * EPS * (1.0 + epsilon + residual)
+    return residual + margin <= tol / math.sqrt(8.0)
+
+
 def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> AnalysisReport:
     """Run every hypothesis check, then attempt the decomposition.
 
-    Stages: unital, Hermiticity-preserving, the fit of the conjugation
-    model (extract_unitary at decomposition_tol, on a map that passed both
-    tests), positivity, and the rank-k audit. All of them run regardless
-    of earlier failures, except positivity, which requires a
+    Stages: unital, the fit of the conjugation model (extract_unitary at
+    decomposition_tol, on a unital map), Hermiticity-preserving,
+    positivity, and the rank-k audit. All of them run regardless of
+    earlier failures, except positivity, which requires a
     Hermiticity-preserving map: it runs on a map that passed the
     Hermiticity test at unital_tol, without positivity_certificate's own
-    test. The paper's theorem says a map that passes every check is of
-    the fitted form, so the fit certifies what it can (see
-    AnalysisReport): positivity with proof "model" when delta <=
-    positivity_tol, and invertibility, with no cond(S), when
-    epsilon + delta <= 1/2. Otherwise, or when the fit fails, the Cholesky
-    proofs, the search and cond(S) run as in positivity_certificate and
-    preserves_rank_k. Either way the positivity certificate, the seeded
-    audit and the verdict are theirs. The fitted form is reported only when
-    every hypothesis passed; a failed fit then gives
-    "decomposition_failure". Failures are verdicts, not errors.
+    test. A map that fails the Hermiticity test loses its fit, so delta
+    and epsilon are None. The paper's theorem says a map that passes every
+    check is of the fitted form, so the fit proves what it can (see
+    AnalysisReport and RankKAudit):
+    - Hermiticity, with no test, when 8 (residual + rounding margin)^2 <=
+      unital_tol^2 (compared as residual + margin <= unital_tol / sqrt(8)),
+      since the test's ||d||_F^2 + |Re tr d^2| is at most 8 residual^2;
+    - positivity, with proof "model", when delta <= positivity_tol;
+    - invertibility, with no cond(S), when epsilon + delta <= 1/2;
+    - "into" for every rank-k projection, with proof "model", when
+      projection_ranks' test passes on the model's bounds for every image:
+      the audit still draws, maps and reports max_residual, and sets
+      pass_fraction to 1 with no per-image rank test.
+    The fit itself fits the likelier variant first and fits the other
+    only when the first's residual does not prove it the winner (see
+    extract_unitary). Where the model proves nothing, the Hermiticity test,
+    the Cholesky proofs, the search, cond(S) and the per-image rank test
+    run as in is_hermiticity_preserving, positivity_certificate and
+    preserves_rank_k, and the report is the one they give either way. The
+    fitted form is reported only when every hypothesis passed; a failed fit
+    then gives "decomposition_failure". Failures are verdicts, not errors.
     """
     require_instance("s", s, SuperOp)
     require_rank(k, s.n)
     cfg = config or ClassifyConfig()
 
     unital = is_unital(s, cfg.unital_tol)
-    hp = is_hermiticity_preserving(s, cfg.unital_tol)
     fitted = delta = epsilon = None
-    if unital and hp:
+    if unital:
         try:
             fitted, delta = _fit_form(s, cfg.decomposition_tol)
         except (NotWignerLikeError, DegenerateImageError):
             pass
         else:
             epsilon = frobenius(dagger(fitted.u) @ fitted.u - np.eye(s.n))
+    hp = ((fitted is not None and _proves_hermiticity(s.n, fitted.residual, epsilon,
+                                                       cfg.unital_tol))
+          or is_hermiticity_preserving(s, cfg.unital_tol))
+    if not hp:
+        fitted = delta = epsilon = None
     cert = None
     if hp:
         cert = _certify_positivity(s, cfg.restarts, cfg.max_iters, cfg.positivity_tol,
                                    derive_seed(cfg.seed, 2),
                                    np.inf if delta is None else delta)
     audit = _audit_rank_k(s, k, cfg.samples, cfg.projection_tol, derive_seed(cfg.seed, 3),
-                          invertible=fitted is not None and epsilon + delta <= 0.5)
+                          *(() if fitted is None else (delta, epsilon)))
 
     reasons = []
     if not unital:

@@ -32,6 +32,11 @@ by the bounds each test states.
 model could certify positivity and invertibility: the Cholesky proofs or the
 search, the audit with cond(S), and the extraction last. Report files from
 the two must be equal; only the certificate's proof kind may differ.
+
+Where the fitted model lets a stage skip work, the skip is checked against
+the work it skips: classify may skip its Hermiticity test only where the
+basis loop passes, and `_fit_form` may skip the second variant only where
+that variant's full residual, from `ref_fit_form`, exceeds the first's.
 """
 
 import itertools
@@ -64,6 +69,7 @@ from wignerkit import (
     invert,
     is_hermiticity_preserving,
     is_unital,
+    perturbed_wigner,
     planted_indefinite,
     positivity_certificate,
     preserves_rank_k,
@@ -181,9 +187,12 @@ def ref_residual(s: SuperOp, u: np.ndarray, variant: str) -> float:
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_hermiticity_test_matches_basis_loop(kind, n):
+    # The stage squares no tol, so it decides at every size of tol, up to
+    # the largest float, with no overflow; the loop scales tol by ||h||_F.
     s = make_map(kind, n, 3)
-    for tol in (1e-14, 1e-12, 1e-10, 1e-8, 1e-3):
+    for tol in (1e-300, 1e-14, 1e-12, 1e-10, 1e-8, 1e-3, 1e150, 1e300):
         assert is_hermiticity_preserving(s, tol) == ref_hermiticity_preserving(s, tol)
+    assert is_hermiticity_preserving(s, 1.7e308)
 
 
 @pytest.mark.parametrize("phase", [1.0, 1j])
@@ -221,6 +230,46 @@ def test_hermiticity_near_its_threshold_matches_basis_loop(n, seed, single_entry
         worst = max(worst, np.linalg.norm(out - out.conj().T) / max(1.0, np.linalg.norm(h)))
     tol = worst / factor
     assert is_hermiticity_preserving(s, tol) == ref_hermiticity_preserving(s, tol) == (factor < 1)
+
+
+def worst_hermiticity_deviation(s: SuperOp) -> float:
+    # The least tol at which ref_hermiticity_preserving passes.
+    worst = 0.0
+    for h in ref_hermitian_basis(s.n):
+        out = apply(s, h)
+        worst = max(worst, np.linalg.norm(out - out.conj().T) / max(1.0, np.linalg.norm(h)))
+    return worst
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 6), variant=st.sampled_from(["direct", "transpose"]),
+       seed=st.integers(0, 2**32 - 1), hermitian=st.booleans(),
+       factor=st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-9))
+def test_hermiticity_skip_only_where_the_test_passes(n, variant, seed, hermitian, factor):
+    # A Wigner map plus t (K a - a K), unital for any K, is Hermiticity-
+    # preserving only for anti-Hermitian K; its Hermitian part makes
+    # phi(h) - phi(h)* = t [K + K*, h], and t puts the worst deviation at
+    # factor times classify's unital_tol. classify may skip its Hermiticity
+    # test only where the test would pass.
+    rng = np.random.default_rng(seed)
+    w = build_map("wigner", n, {"variant": variant}, seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    k = (x + x.conj().T) / 2 if hermitian else x
+    eye = np.eye(n)
+    perturbation = np.kron(eye, k) - np.kron(k.T, eye)
+    cfg = ClassifyConfig(seed=seed % 1000, samples=2, restarts=2, max_iters=5)
+    t = factor * cfg.unital_tol / worst_hermiticity_deviation(SuperOp(n, perturbation))
+    s = SuperOp(n, w.mat + t * perturbation)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner, "is_hermiticity_preserving",
+                   lambda s, tol: calls.append(tol) or is_hermiticity_preserving(s, tol))
+        rep = classify(s, 1, cfg)
+    passes = is_hermiticity_preserving(s, cfg.unital_tol)
+    assert passes == ref_hermiticity_preserving(s, cfg.unital_tol)
+    assert rep.hermiticity_preserving == passes
+    if not calls:
+        assert passes
 
 
 def test_hermiticity_diagonal_threshold_is_tol():
@@ -365,6 +414,36 @@ def test_fit_on_s_layout_matches_view_deviations(kind, n):
         assert form.variant == ref.variant
     if form.variant == ref.variant:
         assert np.array_equal(form.u, ref.u)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(n=st.integers(1, 8), variant=st.sampled_from(["direct", "transpose"]),
+       size=st.floats(-16.0, 0.5), seed=st.integers(0, 2**16), tol=st.sampled_from([1e-6, 100.0]))
+def test_skipped_variant_loses(n, variant, size, seed, tol):
+    # _fit_form fits one variant, the likelier, when it proves the other's
+    # worst unit deviation exceeds the first one's residual; the test
+    # computes the skipped variant's full residual and checks that it does.
+    # Each fit is one polar factor. At n = 1 the two variants are one map,
+    # and both are fitted.
+    s = perturbed_wigner(haar_unitary(n, seed), variant, 10.0 ** size, seed)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner, "_polar_unitary",
+                   lambda m, fit=wigner._polar_unitary: calls.append(1) or fit(m))
+        try:
+            form, _ = wigner._fit_form(s, tol)
+        except (NotWignerLikeError, DegenerateImageError):
+            form = None
+    _, _, (res_d, res_t) = ref_fit_form(s)
+    if n == 1 or form is None:
+        assert len(calls) in ((2,) if n == 1 else (0, 2))
+        return
+    if len(calls) == 1:
+        loser, winner = (res_t, res_d) if form.variant == wigner.DIRECT else (res_d, res_t)
+        assert loser > winner
+        assert loser > form.residual
+    else:
+        assert len(calls) == 2
 
 
 def ref_haar_unitary(n: int, seed) -> np.ndarray:

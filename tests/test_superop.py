@@ -234,8 +234,10 @@ class TestHypothesisChecks:
 
     @pytest.mark.parametrize("tol", [1e200, 1.7e308])
     def test_huge_tolerance_accepts_any_map(self, tol):
-        # tol^2 is beyond the float range; as a Python float power it would
-        # raise OverflowError instead of reading as infinity.
+        # tol^2 is beyond the float range: the test must decide without
+        # forming it, since numpy would warn of the overflow (an error under
+        # this suite's warning filter) and a Python float power would raise
+        # OverflowError.
         s = SuperOp(2, np.kron(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])))
         assert is_hermiticity_preserving(s, tol)
 

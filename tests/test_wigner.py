@@ -415,7 +415,8 @@ class TestClassify:
 
     def test_hermiticity_tested_once(self, monkeypatch):
         # classify tests Hermiticity at unital_tol and hands the map to the
-        # positivity stage, which does not test it again.
+        # positivity stage, which does not test it again. On a Wigner map the
+        # fitted model proves the test would pass, so it does not run.
         import wignerkit.superop
         import wignerkit.wigner
 
@@ -428,11 +429,12 @@ class TestClassify:
 
         for module in (wignerkit.superop, wignerkit.wigner):
             monkeypatch.setattr(module, "is_hermiticity_preserving", counting)
-        for s in (wigner_map(haar_unitary(4, 3)), pseudo_depolarizing(4, 0.6)):
+        for s, want in ((wigner_map(haar_unitary(4, 3)), []),
+                        (pseudo_depolarizing(4, 0.6), [1e-8])):
             calls.clear()
             rep = classify(s, 2, ClassifyConfig(samples=5, restarts=3))
             assert rep.hermiticity_preserving and rep.positivity is not None
-            assert calls == [1e-8]
+            assert calls == want
 
     @pytest.mark.parametrize("make,proof", [
         (lambda: wigner_map(haar_unitary(4, 31), TRANSPOSE), "model"),
@@ -581,6 +583,78 @@ class TestModelCertificate:
         assert rep.delta + rep.epsilon < 1e-12
         assert phase_distance(rep.form.u, u) < 1e-8
 
+    @staticmethod
+    def near_wigner(n, variant, distance, seed, kind):
+        # A Wigner map plus a unital, Hermiticity-preserving perturbation of
+        # Frobenius norm `distance`: a Lindblad-type a -> h a h - (h^2 a + a h^2)/2
+        # for a random Hermitian h, or a -> tr(a) I / n - a.
+        w = wigner_map(haar_unitary(n, seed), variant)
+        eye = np.eye(n)
+        if kind == "lindblad":
+            h = random_hermitian(n, (seed, 1))
+            p = np.kron(h.T, h) - (np.kron(eye, h @ h) + np.kron((h @ h).T, eye)) / 2
+        else:
+            p = depolarizing(n, 0.0).mat - np.eye(n * n)
+        return SuperOp(n, w.mat + distance * p / np.linalg.norm(p))
+
+    @staticmethod
+    def assert_rank_k_images(s, k, tests):
+        # eigvalsh is the oracle: every image is Hermitian within tol, its
+        # spectrum within tol of {0, 1}, with exactly k eigenvalues near 1.
+        tol = matrix_core.DEFAULT_PROJECTION_TOL
+        images = np.tensordot(tests, superop.unit_images(s), axes=2)
+        assert np.all(np.linalg.norm(images - images.conj().swapaxes(1, 2), axis=(1, 2)) <= tol)
+        w = np.linalg.eigvalsh((images + images.conj().swapaxes(1, 2)) / 2)
+        near_one = np.abs(w - 1) <= tol
+        assert np.all(near_one | (np.abs(w) <= tol))
+        assert np.all(near_one.sum(axis=1) == k)
+
+    def check_rank_k_proof(self, s, k, seed):
+        # Wherever classify's audit is proven by the model, every audit test
+        # projection and 1000 more Haar draws map to rank-k projections.
+        cfg = ClassifyConfig(seed=seed, samples=20, restarts=2, max_iters=5)
+        rep = classify(s, k, cfg)
+        audit = rep.rank_k_audit
+        assert audit.proof in ("model", "sampled")
+        if audit.proof == "sampled":
+            return False
+        assert audit.pass_fraction == 1.0 and audit.inverse_pass
+        n = s.n
+        subsets = itertools.islice(itertools.combinations(range(n), k), wigner.BASIS_SUBSET_CAP)
+        basis = [np.diag([1.0 + 0j if i in sub else 0j for i in range(n)]) for sub in subsets]
+        draws = matrix_core._rank_k_projections(k, matrix_core._standard_normals(
+            derive_seed(cfg.seed, 3, 0), cfg.samples, (2, n, n)))
+        self.assert_rank_k_images(s, k, np.concatenate([basis, draws]))
+        extra = matrix_core._rank_k_projections(k, matrix_core._standard_normals(
+            derive_seed(seed, 99), MAX_DRAWS, (2, n, n)))
+        self.assert_rank_k_images(s, k, extra)
+        return True
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.sampled_from([DIRECT, TRANSPOSE]), st.integers(2, 16),
+           st.one_of(st.just(0.0), st.floats(-16.0, -9.0).map(lambda x: 10.0 ** x)),
+           st.sampled_from(["lindblad", "depolarizing"]), st.integers(0, 2**16), st.data())
+    def test_rank_k_proof_holds_on_near_wigner_maps(self, variant, n, distance, kind, seed, data):
+        k = data.draw(st.integers(1, n - 1))
+        s = self.near_wigner(n, variant, distance, seed, kind)
+        proven = self.check_rank_k_proof(s, k, seed)
+        if distance <= 1e-13:
+            assert proven
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_rank_k_proof_holds_at_n32(self, variant):
+        s = self.near_wigner(32, variant, 1e-12, 8, "lindblad")
+        assert self.check_rank_k_proof(s, 16, 8)
+
+    @pytest.mark.parametrize("delta,epsilon", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                               (0.0, np.inf), (np.inf, np.inf)])
+    def test_nan_or_infinite_model_proves_nothing(self, delta, epsilon):
+        s = wigner_map(haar_unitary(4, 2))
+        assert wigner._proves_rank_k(4, 2, 1e-8, 0.0, 0.0, 0.0)
+        assert not wigner._proves_rank_k(4, 2, 1e-8, delta, epsilon, 0.0)
+        audit = wigner._audit_rank_k(s, 2, 5, 1e-8, (3,), delta, epsilon)
+        assert audit.proof == "sampled" and audit.pass_fraction == 1.0
+
     def test_no_model_on_rejected_maps(self):
         # pseudo-depolarizing maps fail the fit's rank-1 gate and perturbed
         # maps are not unital: both keep the Cholesky proofs.
@@ -623,12 +697,13 @@ class TestAuditEigensolves:
 
 class TestAuditLayout:
     # The audit certifies its Haar draws from their k x k Gram matrices, so
-    # its one projection_ranks call is the one on the images.
-    @pytest.mark.parametrize("make", [lambda: wigner_map(haar_unitary(16, 4)),
-                                      lambda: depolarizing(16, 0.5),
-                                      lambda: pseudo_depolarizing(16, 0.05)],
+    # its one projection_ranks call is the one on the images, and on a
+    # Wigner map the fitted model proves every image's rank with none.
+    @pytest.mark.parametrize("make,proven", [(lambda: wigner_map(haar_unitary(16, 4)), True),
+                                             (lambda: depolarizing(16, 0.5), False),
+                                             (lambda: pseudo_depolarizing(16, 0.05), False)],
                              ids=["wigner", "depolarizing", "pseudo_depolarizing"])
-    def test_one_projection_ranks_call_per_audit(self, monkeypatch, make):
+    def test_one_projection_ranks_call_per_audit(self, monkeypatch, make, proven):
         calls = []
         for module in (matrix_core, wigner):
             def counting(ms, *args, certify=module.projection_ranks):
@@ -636,7 +711,8 @@ class TestAuditLayout:
                 return certify(ms, *args)
             monkeypatch.setattr(module, "projection_ranks", counting)
         rep = classify(make(), 8)
-        assert calls == [rep.rank_k_audit.samples]
+        assert rep.rank_k_audit.proof == ("model" if proven else "sampled")
+        assert calls == ([] if proven else [rep.rank_k_audit.samples])
 
     # At n = 32, S takes 16 MB. The audit maps its tests by products with S
     # itself, never a copy of it, and the fit holds one n^4 model at a time,
@@ -660,6 +736,16 @@ class TestAuditLayout:
     def test_fit_at_n32_allocates_one_model(self, variant):
         s = wigner_map(haar_unitary(32, 5), variant)
         assert self.peak_bytes(lambda: extract_unitary(s)) < 1.25 * s.mat.nbytes
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_classify_at_n32_allocates_only_its_fit(self, variant):
+        # On a Wigner map the model proves Hermiticity, so the test's two
+        # copies of half the unit images (1.047 S with the fit before it)
+        # are never made, and the losing variant's model is never formed:
+        # classify's peak is its one fitted model's (1.020 S).
+        s = wigner_map(haar_unitary(32, 5), variant)
+        fit = self.peak_bytes(lambda: extract_unitary(s))
+        assert self.peak_bytes(lambda: classify(s, 16)) < 1.01 * fit < 1.035 * s.mat.nbytes
 
     def test_hermiticity_test_at_n32_allocates_about_one_s(self):
         s = wigner_map(haar_unitary(32, 5))
