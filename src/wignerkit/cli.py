@@ -45,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"random projections per audit, at most {MAX_DRAWS}")
     p.add_argument("--seed", type=int, default=None, help="audit RNG seed")
     p.add_argument("--tol", type=float, default=None,
-                   help="override the whole tolerance ladder with one value")
+                   help="one tolerance for every check (positivity at least 1e-9); "
+                        "default: the tolerance ladder")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("generate", help="write a generated map to a file")
@@ -83,10 +84,7 @@ def _read_json(path: str):
 def _cmd_analyze(args) -> int:
     s = superop_from_json(_read_json(args.file))
     seed = args.seed if args.seed is not None else default_seed()
-    cfg = ClassifyConfig(samples=args.samples, seed=seed)
-    if args.tol is not None:
-        cfg = cfg.with_tolerance(args.tol)
-    report = classify(s, args.k, cfg)
+    report = classify(s, args.k, ClassifyConfig(samples=args.samples, seed=seed, tol=args.tol))
     if args.out:
         _write_through_temporary(args.out, report_to_json(report))
     else:

@@ -79,6 +79,7 @@ def depolarizing(n: int, lam: float) -> SuperOp:
     preservation fails for every lam < 1.
     """
     require_count("n", n, 1)
+    lam = _require_real("lambda", lam)
     if not 0.0 <= lam <= 1.0:
         raise BadParameterError(f"lambda={lam} outside [0, 1]")
     return SuperOp(n, lam * np.eye(n * n, dtype=complex) + (1.0 - lam) * _trace_superop(n))
@@ -92,6 +93,7 @@ def pseudo_depolarizing(n: int, mu: float) -> SuperOp:
     mu > 1/(n-1).
     """
     require_count("n", n, 1)
+    mu = _require_real("mu", mu)
     if mu < 0.0:
         raise BadParameterError(f"mu={mu} must be nonnegative")
     return SuperOp(n, (1.0 + mu) * _trace_superop(n) - mu * np.eye(n * n, dtype=complex))
@@ -104,6 +106,7 @@ def perturbed_wigner(u, variant: str, eps: float, seed=0) -> SuperOp:
     normalized to ||G||_F = 1; it preserves Hermiticity (and positivity), so
     the perturbation degrades only unitality and projection preservation.
     """
+    eps = _require_real("epsilon", eps)
     base = wigner_map(u, variant)
     h = random_hermitian(base.n, derive_seed(seed, 1))
     g = np.kron(h.T, h)
@@ -161,13 +164,18 @@ def build_map(name: str, n: int, params: dict | None = None, seed=0) -> SuperOp:
     raise BadParameterError(f"unknown family {name!r}; expected one of {FAMILIES}")
 
 
-def _require_param(params: dict, key: str) -> float:
+def _require_param(params: dict, key: str):
     if key not in params:
         raise BadParameterError(f"family parameter {key!r} is required")
-    value = params[key]
+    return params[key]
+
+
+def _require_real(name: str, value) -> float:
+    # A family parameter as a float, checked before any arithmetic: a finite
+    # real number (Python or numpy, not a boolean), else BadParameterError.
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not is_finite_float(value)):
-        raise BadParameterError(f"family parameter {key}={_clipped_repr(value)} "
+        raise BadParameterError(f"family parameter {name}={_clipped_repr(value)} "
                                 f"({type(value).__name__}) must be a finite real number")
     return float(value)
 

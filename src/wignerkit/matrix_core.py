@@ -144,6 +144,17 @@ class Projection:
 NOT_HERMITIAN, NOT_A_PROJECTION = -1, -2
 
 
+def _proves_rank(n: int, tol, residual, skew, size, margin):
+    # projection_ranks' test without a spectrum: whether every eigenvalue of
+    # the Hermitian part of an n-by-n matrix with ||m^2 - m||_F <= residual,
+    # ||m - m*||_F <= skew and ||m||_F <= size lies within tol/2 of exactly
+    # one of 0 and 1, its bound b carrying the rounding margin. Elementwise
+    # on arrays; on Python floats an infinite or NaN input gives False with
+    # no floating-point warning (s * s, not s ** 2, which raises on overflow).
+    bound = residual + skew * (size + 0.5) + skew * skew / 4.0 + margin
+    return (4.0 * bound <= tol) & (tol + 2.0 * bound < 1.0) & (2.0 * n * bound < 0.5)
+
+
 def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Certify each matrix of a stack as a projection and count its rank.
 
@@ -177,9 +188,8 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
     skew = np.linalg.norm(ms - dagger(ms), axis=(-2, -1))
     residuals = np.linalg.norm(ms @ ms - ms, axis=(-2, -1))
     size = np.linalg.norm(ms, axis=(-2, -1))
-    bound = (residuals + skew * (size + 0.5) + skew ** 2 / 4
-             + 16 * n * np.finfo(float).eps * (size + 1.0) ** 2)
-    proven = (4.0 * bound <= tol) & (tol + 2.0 * bound < 1.0) & (2.0 * n * bound < 0.5)
+    proven = _proves_rank(n, tol, residuals, skew, size,
+                          16 * n * np.finfo(float).eps * (size + 1.0) ** 2)
     not_hermitian = skew > tol * np.maximum(1.0, size)
     not_projection = (residuals > 10.0 * tol) | (skew > 10.0 * tol)
     traces = np.trace(ms, axis1=-2, axis2=-1).real

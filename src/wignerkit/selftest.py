@@ -233,7 +233,7 @@ def perturbation_ladder(full: bool = True) -> CriterionResult:
         u = haar_unitary(n, (90, sd))
         variant = DIRECT if sd % 2 == 0 else TRANSPOSE
         small = perturbed_wigner(u, variant, 1e-3, seed=(90, sd, 1))
-        rep = classify(small, k, ClassifyConfig(seed=9000 + sd).with_tolerance(1e-2))
+        rep = classify(small, k, ClassifyConfig(seed=9000 + sd, tol=1e-2))
         if rep.verdict != "wigner" or not 1e-4 <= rep.form.residual <= 1e-2:
             res = rep.form.residual if rep.form else None
             failures.append(f"seed {sd} eps=1e-3: verdict={rep.verdict} residual={res}")

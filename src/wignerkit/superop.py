@@ -40,6 +40,10 @@ from .matrix_core import (
 
 CONVENTION = "column-stacking"
 
+# positivity_certificate's default tolerance, and the least positivity rung
+# of classify (see wigner.ClassifyConfig).
+POSITIVITY_TOL = 1e-9
+
 # is_invertible() and invert() refuse superoperators beyond this condition number.
 COND_LIMIT = 1e12
 
@@ -143,13 +147,17 @@ def from_action(n: int, action) -> SuperOp:
     """Build the superoperator of a map given as a python callable.
 
     Evaluates the map on every matrix unit; column (i, j) of the result is
-    vec(action(E_ij)).
+    vec(action(E_ij)). DimensionMismatchError unless every image is n-by-n.
     """
     require_count("n", n, 1)
     s = np.zeros((n * n, n * n), dtype=complex)
     for j in range(n):
         for i in range(n):
-            s[:, i + n * j] = vec(as_matrix(action(matrix_unit(n, i, j))))
+            image = as_matrix(action(matrix_unit(n, i, j)))
+            if image.shape != (n, n):
+                raise DimensionMismatchError(
+                    f"the image of E_{i}{j} is {image.shape[0]}x{image.shape[1]}, expected n={n}")
+            s[:, i + n * j] = vec(image)
     return SuperOp(n, s)
 
 
@@ -173,17 +181,20 @@ def unit_images(s: SuperOp) -> np.ndarray:
 
 
 def _reshuffle(m: np.ndarray, n: int) -> np.ndarray:
-    # Involutive entry permutation between superoperator and Choi orderings.
-    return m.reshape(n, n, n, n).swapaxes(0, 3).reshape(n * n, n * n)
+    # Involutive entry permutation between superoperator and Choi orderings,
+    # always into a new C-ordered array (a reshape alone is a view at n = 1).
+    return m.reshape(n, n, n, n).swapaxes(0, 3).copy().reshape(n * n, n * n)
 
 
 def to_choi(s: SuperOp) -> ChoiMatrix:
     """Superoperator -> Choi matrix (pure entry permutation, exact)."""
+    require_instance("s", s, SuperOp)
     return ChoiMatrix(s.n, _reshuffle(s.mat, s.n))
 
 
 def from_choi(c: ChoiMatrix) -> SuperOp:
     """Choi matrix -> superoperator (inverse of to_choi, exact)."""
+    require_instance("c", c, ChoiMatrix)
     return SuperOp(c.n, _reshuffle(c.mat, c.n))
 
 
@@ -244,7 +255,7 @@ def _is_positive_definite(h: np.ndarray) -> bool:
 
 
 def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
-                           tol: float = 1e-9, seed=0) -> PositivityCertificate:
+                           tol: float = POSITIVITY_TOL, seed=0) -> PositivityCertificate:
     """Find the least value of lambda_min(phi(x x*)) over unit x: a proof first, then a search.
 
     Since phi(x x*) = (conj(x) kron I)* C (conj(x) kron I) for the Choi
@@ -324,14 +335,21 @@ def _certify_positivity(s: SuperOp, restarts: int, max_iters: int, tol: float,
     if f0 >= -tol and delta <= tol:
         proof = "model"
     elif f0 >= -tol:
-        h = hermitian_part(_reshuffle(s.mat, n)) + tol * np.eye(n * n)
+        # hermitian_part(C) + tol I, built in place in one new buffer: with
+        # the conjugate it adds, at most two arrays the size of S are live.
+        h = _reshuffle(s.mat, n)
+        h += h.conj().T
+        h *= 0.5
+        h.ravel()[::n * n + 1] += tol
         # The Choi matrix of phi o T, whose superoperator is S with its
         # columns permuted, is the partial transpose of C: block (i, j) is
         # phi(E_ji). It commutes with the Hermitian part and keeps tol I.
         if _is_positive_definite(h):
             proof = "cp"
-        elif _is_positive_definite(h.reshape(n, n, n, n).swapaxes(0, 2).reshape(n * n, n * n)):
-            proof = "co-cp"
+        else:
+            h = h.reshape(n, n, n, n).swapaxes(0, 2).reshape(n * n, n * n)
+            if _is_positive_definite(h):
+                proof = "co-cp"
     if proof:
         return PositivityCertificate(min_value=float(f0), witness=x0, restarts=restarts,
                                      converged=True, proof=proof,
@@ -392,6 +410,7 @@ def _seesaw(s: SuperOp, restarts: int, max_iters: int, tol: float,
 
 def is_invertible(s: SuperOp) -> bool:
     """Whether cond(S) is at most 1e12 (False when it is infinite or NaN)."""
+    require_instance("s", s, SuperOp)
     return bool(np.linalg.cond(s.mat) <= COND_LIMIT)
 
 
@@ -404,6 +423,7 @@ def invert(s: SuperOp) -> SuperOp:
     rescale such a map before inverting it. The rank-k audit needs only
     is_invertible (see wigner.preserves_rank_k).
     """
+    require_instance("s", s, SuperOp)
     if not is_invertible(s):
         raise SingularMapError(f"superoperator condition number exceeds {COND_LIMIT:.0e}")
     inv = np.linalg.inv(s.mat)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .matrix_core import (
     DEFAULT_PROJECTION_TOL,
     MAX_DRAWS,
     Projection,
+    _proves_rank,
     _rank_k_projections,
     _standard_normals,
     as_complex,
@@ -46,6 +47,7 @@ from .matrix_core import (
     validate_projection,
 )
 from .superop import (
+    POSITIVITY_TOL,
     PositivityCertificate,
     SuperOp,
     _certify_positivity,
@@ -72,6 +74,12 @@ PHASE_GAUGE_EPS = 1e-8
 
 # The unit roundoff of float64 arithmetic, np.finfo(float).eps.
 EPS = 2.0 ** -52
+
+# classify's default unital (and Hermiticity) rung (see ClassifyConfig).
+UNITAL_TOL = 1e-8
+
+# extract_unitary's default tolerance, and classify's default decomposition rung.
+DECOMPOSITION_TOL = 1e-6
 
 
 @dataclass
@@ -168,35 +176,47 @@ class AnalysisReport:
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Knobs for classify. The tolerance ladder separates float noise from
-    model violation: projection validation 1e-8, decomposition acceptance
-    1e-6, certified-pass reporting 1e-9. Frozen, so every field has passed
-    __post_init__'s checks; with_tolerance and dataclasses.replace make
-    changed copies. samples and restarts are at most matrix_core.MAX_DRAWS
-    (1000): the audit and the search stack a few n-by-n matrices per draw,
-    about 0.35 GB at the ceiling and n = 64."""
+    """Knobs for classify. tol is the one tolerance knob. None gives the
+    default ladder, one rung per check, each separating float noise from
+    model violation: unital_tol UNITAL_TOL (1e-8, Hermiticity too),
+    positivity_tol POSITIVITY_TOL (1e-9), projection_tol
+    DEFAULT_PROJECTION_TOL (1e-8) and decomposition_tol DECOMPOSITION_TOL
+    (1e-6), read as properties. A finite positive tol sets every rung to
+    tol, and positivity to max(tol, POSITIVITY_TOL). Frozen, so every field
+    has passed __post_init__'s checks; dataclasses.replace makes changed
+    copies, such as replace(cfg, tol=t). samples and restarts are at most
+    matrix_core.MAX_DRAWS (1000): the audit and the search stack a few
+    n-by-n matrices per draw, about 0.35 GB at the ceiling and n = 64."""
 
     samples: int = 100
     restarts: int = 50
     max_iters: int = 500
     seed: int = 0
-    unital_tol: float = 1e-8
-    positivity_tol: float = 1e-9
-    projection_tol: float = DEFAULT_PROJECTION_TOL
-    decomposition_tol: float = 1e-6
+    tol: float | None = None
 
     def __post_init__(self):
         for name, least, most in (("samples", 0, MAX_DRAWS), ("restarts", 1, MAX_DRAWS),
                                   ("max_iters", 0, None)):
             require_count(name, getattr(self, name), least, most)
-        for name in ("unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"):
-            require_tolerance(name, getattr(self, name))
+        if self.tol is not None:
+            require_tolerance("tol", self.tol)
         require_seed(self.seed)
 
-    def with_tolerance(self, tol: float) -> "ClassifyConfig":
-        """Rescale the whole ladder to a single caller-chosen tolerance."""
-        return replace(self, unital_tol=tol, positivity_tol=max(tol, self.positivity_tol),
-                       projection_tol=tol, decomposition_tol=tol)
+    @property
+    def unital_tol(self) -> float:
+        return UNITAL_TOL if self.tol is None else self.tol
+
+    @property
+    def positivity_tol(self) -> float:
+        return POSITIVITY_TOL if self.tol is None else max(self.tol, POSITIVITY_TOL)
+
+    @property
+    def projection_tol(self) -> float:
+        return DEFAULT_PROJECTION_TOL if self.tol is None else self.tol
+
+    @property
+    def decomposition_tol(self) -> float:
+        return DECOMPOSITION_TOL if self.tol is None else self.tol
 
 
 def lemma1_projections(n: int, k: int, basis=None, which: int = 0) -> Lemma1Decomposition:
@@ -310,8 +330,9 @@ def _proves_rank_k(n: int, k: int, tol: float, delta: float, epsilon: float,
     # proves that every rank-k projection maps to a rank-k projection that
     # projection_ranks(., tol) certifies, and that it certifies every audit
     # image as rank k when residual is their largest ||M^2 - M||_F. It
-    # applies projection_ranks' own test to bounds on each image M's
-    # s = ||M - M*||_F, N = ||M||_F and r = ||M^2 - M||_F (see RankKAudit).
+    # applies projection_ranks' own test, _proves_rank, to bounds on each
+    # image M's s = ||M - M*||_F, N = ||M||_F and r = ||M^2 - M||_F (see
+    # RankKAudit).
     # Python floats throughout: an infinite or NaN bound fails the test
     # without a floating-point warning.
     # Every input m, an audit draw or any rank-k projection, has
@@ -342,9 +363,7 @@ def _proves_rank_k(n: int, k: int, tol: float, delta: float, epsilon: float,
     # projection_ranks' margin, doubled to cover the rounding of its own
     # s, N and b and of the trace.
     margin = 32.0 * n * EPS * (norm + 1.0) * (norm + 1.0)
-    b = r + s * (norm + 0.5) + s * s / 4.0 + margin
-    return (4.0 * b <= tol and tol + 2.0 * b < 1.0 and 2.0 * n * b < 0.5
-            and trace_gap + margin < 0.5)
+    return bool(_proves_rank(n, tol, r, s, norm, margin)) and trace_gap + margin < 0.5
 
 
 def definite_set_check(s: SuperOp, q: Projection) -> float:
@@ -375,7 +394,7 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
     return u * (z.conjugate() / abs(z))
 
 
-def extract_unitary(s: SuperOp, tol: float = 1e-6) -> WignerForm:
+def extract_unitary(s: SuperOp, tol: float = DECOMPOSITION_TOL) -> WignerForm:
     """Recover the conjugating unitary and the variant from the map.
 
     Writes F_ij = phi(E_ij). For a direct map F_ij = u_i u_j* with u_i the
@@ -536,7 +555,8 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     """
     require_instance("s", s, SuperOp)
     require_rank(k, s.n)
-    cfg = config or ClassifyConfig()
+    cfg = ClassifyConfig() if config is None else config
+    require_instance("config", cfg, ClassifyConfig)
 
     unital = is_unital(s, cfg.unital_tol)
     fitted = delta = epsilon = None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,10 +220,21 @@ class TestFamilyRegistry:
     @pytest.mark.parametrize("name,key,value", [
         ("depolarizing", "lambda", None), ("depolarizing", "lambda", True),
         ("pseudo_depolarizing", "mu", "0.5"), ("perturbed_wigner", "epsilon", [1]),
-        ("pseudo_depolarizing", "mu", float("nan")), ("perturbed_wigner", "epsilon", float("inf"))])
+        ("pseudo_depolarizing", "mu", float("nan")), ("perturbed_wigner", "epsilon", float("inf")),
+        ("depolarizing", "lambda", 0.5 + 0j), ("perturbed_wigner", "epsilon", 1j)])
     def test_non_numeric_parameter_rejected(self, name, key, value):
-        with pytest.raises(BadParameterError):
-            build_map(name, 3, {key: value}, 0)
+        # Every constructor checks its own parameter before any arithmetic,
+        # with no floating-point warning on the way.
+        u = haar_unitary(3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParameterError, match=f"{key}="):
+                build_map(name, 3, {key: value}, 0)
+            for make, param in ((lambda v: depolarizing(3, v), "lambda"),
+                                (lambda v: pseudo_depolarizing(3, v), "mu"),
+                                (lambda v: perturbed_wigner(u, DIRECT, v), "epsilon")):
+                with pytest.raises(BadParameterError, match=f"{param}="):
+                    make(value)
 
     def test_numpy_parameters_accepted(self):
         np.testing.assert_array_equal(build_map("depolarizing", 3, {"lambda": np.float64(0.5)}).mat,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from wignerkit import (
     vec,
     wigner_map,
 )
-from wignerkit.matrix_core import MAX_DRAWS, derive_seed
+from wignerkit import superop
+from wignerkit.matrix_core import MAX_DRAWS, derive_seed, hermitian_part
 from wignerkit.superop import MAX_ENTRY
 
 
@@ -362,6 +365,46 @@ class TestPositivityProofs:
         assert cert.proof == "search"
         assert cert.iterations.shape == (4,) and 1 <= cert.iterations.min()
         assert cert.iterations.max() <= 50 and cert.spread >= 0.0
+
+    def test_proofs_factor_the_hermitian_parts_plus_tol(self, monkeypatch):
+        # A transpose Wigner map with a little non-Hermitian noise: the "cp"
+        # test fails and "co-cp" is tried on the partial transpose.
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        s = SuperOp(3, wigner_map(haar_unitary(3, 4), "transpose").mat + 1e-12 * noise)
+        seen = []
+        monkeypatch.setattr(superop, "_is_positive_definite",
+                            lambda h: seen.append(h.copy()) or False)
+        superop._certify_positivity(s, 2, 5, 1e-9, 0)
+        h = hermitian_part(to_choi(s).mat) + 1e-9 * np.eye(9)
+        partial = h.reshape(3, 3, 3, 3).swapaxes(0, 2).reshape(9, 9)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], h) and np.array_equal(seen[1], partial)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_proofs_leave_the_map_unchanged(self, n):
+        # The proofs build their matrix in place, in a copy of S's entries,
+        # never in a view of S (a reshape alone is one at n = 1).
+        s = SuperOp(n, wigner_map(haar_unitary(n, 2)).mat + 1e-12j)
+        before = s.mat.copy()
+        assert superop._certify_positivity(s, 2, 5, 1e-9, 0).proof == "cp"
+        assert np.array_equal(s.mat, before)
+
+    @pytest.mark.parametrize("make,proof", [
+        (lambda: depolarizing(32, 0.5), "cp"),
+        (lambda: wigner_map(haar_unitary(32, 5), "transpose"), "co-cp")], ids=["cp", "co-cp"])
+    def test_proof_at_n32_holds_two_copies_of_s(self, make, proof):
+        # hermitian_part(C) + tol I is built in one buffer, beside one
+        # temporary conjugate, and the partial transpose replaces it.
+        s = make()
+        tracemalloc.start()
+        try:
+            cert = superop._certify_positivity(s, 2, 5, 1e-9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.proof == proof
+        assert peak < 2.1 * s.mat.nbytes
 
     def test_no_cholesky_below_minus_tol(self, monkeypatch):
         # The start's value is below -tol, so no proof can hold and none is tried.

@@ -25,8 +25,11 @@ from wignerkit import (
     depolarizing,
     extract_unitary,
     from_action,
+    from_choi,
     haar_unitary,
+    invert,
     is_hermiticity_preserving,
+    is_invertible,
     is_unital,
     lemma1_projections,
     perturbed_wigner,
@@ -38,6 +41,7 @@ from wignerkit import (
     random_hermitian,
     random_rank_k_projection,
     random_unit_vector,
+    to_choi,
     transpose_superop,
     validate_projection,
     vector_state_partner,
@@ -320,6 +324,24 @@ def test_wrong_argument_type_raises_typed_error(call, kind, value):
         call(value)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: classify(_MAP, 1, config="x"), BadParameterError,
+     "config must be a ClassifyConfig, not str"),
+    (lambda: to_choi(_MAP.mat), BadParameterError, "s must be a SuperOp, not ndarray"),
+    (lambda: from_choi(_MAP.mat), BadParameterError, "c must be a ChoiMatrix, not ndarray"),
+    (lambda: is_invertible(_MAP.mat), BadParameterError, "s must be a SuperOp, not ndarray"),
+    (lambda: invert(_MAP.mat), BadParameterError, "s must be a SuperOp, not ndarray"),
+    (lambda: from_action(2, lambda a: np.zeros((3, 3))), DimensionMismatchError,
+     "E_00 is 3x3, expected n=2"),
+], ids=["classify-config", "to_choi", "from_choi", "is_invertible", "invert",
+        "from_action-shape"])
+def test_remaining_entry_points_raise_typed_errors(call, error, message):
+    # Unchecked, the first five end in a bare AttributeError and the last in
+    # numpy's broadcast ValueError.
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestVectorStatePartner:
     def test_identity_form(self):
         from wignerkit import WignerForm
@@ -465,16 +487,30 @@ class TestClassify:
         assert ClassifyConfig(seed=(3, 4)).seed == (3, 4)
         assert ClassifyConfig(seed=np.int64(2)).seed == 2
 
-    def test_with_tolerance_keeps_every_other_field(self):
-        cfg = ClassifyConfig(samples=7, restarts=3, max_iters=11, seed=(4, 5),
-                             positivity_tol=1e-3)
-        scaled = cfg.with_tolerance(1e-4)
-        assert (scaled.unital_tol, scaled.positivity_tol, scaled.projection_tol,
-                scaled.decomposition_tol) == (1e-4, 1e-3, 1e-4, 1e-4)
-        ladder = {"unital_tol", "positivity_tol", "projection_tol", "decomposition_tol"}
-        for f in dataclasses.fields(ClassifyConfig):
-            if f.name not in ladder:
-                assert getattr(scaled, f.name) == getattr(cfg, f.name)
+    def test_tol_sets_the_ladder_and_keeps_every_other_field(self):
+        def ladder(cfg):
+            return (cfg.unital_tol, cfg.positivity_tol, cfg.projection_tol,
+                    cfg.decomposition_tol)
+
+        assert [f.name for f in dataclasses.fields(ClassifyConfig)] == \
+            ["samples", "restarts", "max_iters", "seed", "tol"]
+        cfg = ClassifyConfig(samples=7, restarts=3, max_iters=11, seed=(4, 5))
+        assert cfg.tol is None
+        assert ladder(cfg) == (1e-8, 1e-9, 1e-8, 1e-6)
+        # One tol sets every rung; positivity keeps its floor of 1e-9.
+        for tol in (1e-12, 1e-9, 1e-4, 1e-2):
+            scaled = dataclasses.replace(cfg, tol=tol)
+            assert ladder(scaled) == (tol, max(tol, 1e-9), tol, tol)
+            assert ladder(ClassifyConfig(tol=tol)) == ladder(scaled)
+            for f in dataclasses.fields(ClassifyConfig):
+                if f.name != "tol":
+                    assert getattr(scaled, f.name) == getattr(cfg, f.name)
+        assert ladder(dataclasses.replace(cfg, tol=1e-3, seed=2)) == (1e-3,) * 4
+        # The rungs are read, never set.
+        with pytest.raises(AttributeError):
+            cfg.unital_tol = 1e-3
+        with pytest.raises(TypeError):
+            ClassifyConfig(positivity_tol=1e-3)
 
     @pytest.mark.parametrize("field,value", [
         ("samples", -5), ("samples", 2.0), ("samples", True), ("samples", "3"),
@@ -503,12 +539,14 @@ class TestClassify:
         cfg = ClassifyConfig(samples=0, restarts=1, max_iters=np.int64(0))
         assert (cfg.samples, cfg.restarts, cfg.max_iters) == (0, 1, 0)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 10**400])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 10**400, True,
+                                     "1e-2"])
     def test_config_rejects_bad_tolerance(self, tol):
-        with pytest.raises(BadParameterError):
-            ClassifyConfig(projection_tol=tol)
-        with pytest.raises(BadParameterError):
-            ClassifyConfig().with_tolerance(tol)
+        with pytest.raises(BadParameterError, match="tol"):
+            ClassifyConfig(tol=tol)
+        # replace runs __post_init__'s checks again.
+        with pytest.raises(BadParameterError, match="tol"):
+            dataclasses.replace(ClassifyConfig(tol=1e-3), tol=tol)
 
 
 class TestModelCertificate:
@@ -550,11 +588,15 @@ class TestModelCertificate:
 
     @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
     def test_positivity_tol_below_delta_falls_back_to_cholesky(self, variant):
-        s = wigner_map(haar_unitary(5, 41), variant)
-        cfg = ClassifyConfig(seed=6, samples=5, restarts=4, max_iters=30, positivity_tol=1e-15)
+        # A Wigner map plus t (a -> tr(a) I / n - the Wigner map): unital,
+        # Hermiticity-preserving, and CP (co-CP for the transpose variant),
+        # with delta about 5t, beyond the default positivity rung 1e-9.
+        w = wigner_map(haar_unitary(5, 41), variant)
+        s = SuperOp(5, w.mat + 1e-9 * (depolarizing(5, 0.0).mat - w.mat))
+        cfg = ClassifyConfig(seed=6, samples=5, restarts=4, max_iters=30)
         rep = classify(s, 2, cfg)
         assert rep.delta > cfg.positivity_tol
-        public = positivity_certificate(s, restarts=4, max_iters=30, tol=1e-15,
+        public = positivity_certificate(s, restarts=4, max_iters=30, tol=cfg.positivity_tol,
                                         seed=derive_seed(6, 2))
         assert rep.positivity.proof == public.proof == ("cp" if variant == DIRECT else "co-cp")
         assert (rep.positivity.min_value, rep.positivity.converged) == \
