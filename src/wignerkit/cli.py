@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"random projections per audit, at most {MAX_DRAWS}")
     p.add_argument("--seed", type=int, default=None, help="audit RNG seed")
     p.add_argument("--tol", type=float, default=None,
-                   help="one tolerance for every check (positivity at least 1e-9); "
-                        "default: the tolerance ladder")
+                   help="one tolerance in (0, 1) for every check (positivity at least "
+                        "1e-9); default: the tolerance ladder")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     p = sub.add_parser("generate", help="write a generated map to a file")

@@ -13,8 +13,6 @@ Families (column-stacking superoperators throughout):
 
 from __future__ import annotations
 
-import reprlib
-
 import numpy as np
 
 from .errors import BadParameterError
@@ -23,10 +21,10 @@ from .matrix_core import (
     frobenius,
     haar_unitary,
     hermitian_part,
-    is_finite_float,
     random_hermitian,
     random_unit_vector,
     require_count,
+    require_real,
     require_seed,
     require_unitary,
 )
@@ -79,7 +77,7 @@ def depolarizing(n: int, lam: float) -> SuperOp:
     preservation fails for every lam < 1.
     """
     require_count("n", n, 1)
-    lam = _require_real("lambda", lam)
+    lam = require_real("family parameter lambda", lam)
     if not 0.0 <= lam <= 1.0:
         raise BadParameterError(f"lambda={lam} outside [0, 1]")
     return SuperOp(n, lam * np.eye(n * n, dtype=complex) + (1.0 - lam) * _trace_superop(n))
@@ -93,7 +91,7 @@ def pseudo_depolarizing(n: int, mu: float) -> SuperOp:
     mu > 1/(n-1).
     """
     require_count("n", n, 1)
-    mu = _require_real("mu", mu)
+    mu = require_real("family parameter mu", mu)
     if mu < 0.0:
         raise BadParameterError(f"mu={mu} must be nonnegative")
     return SuperOp(n, (1.0 + mu) * _trace_superop(n) - mu * np.eye(n * n, dtype=complex))
@@ -106,7 +104,7 @@ def perturbed_wigner(u, variant: str, eps: float, seed=0) -> SuperOp:
     normalized to ||G||_F = 1; it preserves Hermiticity (and positivity), so
     the perturbation degrades only unitality and projection preservation.
     """
-    eps = _require_real("epsilon", eps)
+    eps = require_real("family parameter epsilon", eps)
     base = wigner_map(u, variant)
     h = random_hermitian(base.n, derive_seed(seed, 1))
     g = np.kron(h.T, h)
@@ -168,20 +166,4 @@ def _require_param(params: dict, key: str):
     if key not in params:
         raise BadParameterError(f"family parameter {key!r} is required")
     return params[key]
-
-
-def _require_real(name: str, value) -> float:
-    # A family parameter as a float, checked before any arithmetic: a finite
-    # real number (Python or numpy, not a boolean), else BadParameterError.
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not is_finite_float(value)):
-        raise BadParameterError(f"family parameter {name}={_clipped_repr(value)} "
-                                f"({type(value).__name__}) must be a finite real number")
-    return float(value)
-
-
-def _clipped_repr(value) -> str:
-    # reprlib bounds the work on long or nested values, the clip the length.
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 

@@ -8,6 +8,7 @@ through an explicit seed, so all results are reproducible and thread-safe.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ MAX_DIMENSION = 64
 # n = 64, and a count of 10^9 would end in a MemoryError.
 MAX_DRAWS = 1000
 
+# The unit roundoff of float64 arithmetic, np.finfo(float).eps.
+EPS = 2.0 ** -52
+
 
 def require_count(name: str, value, least: int | None = None, most: int | None = None):
     """Raise BadParameterError unless value is an integer (booleans are not),
@@ -58,11 +62,24 @@ def require_rank(k, n: int):
         raise BadRankError(f"rank k={k} must satisfy 1 <= k < n={n}")
 
 
-def require_tolerance(name: str, value):
-    """Raise BadParameterError unless value is a finite positive number (booleans are not)."""
+def require_real(name: str, value) -> float:
+    """value as a float, checked before any arithmetic: BadParameterError
+    unless it is a finite real number (Python or numpy, not a boolean)."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not (is_finite_float(value) and value > 0)):
-        raise BadParameterError(f"{name}={value} must be finite and positive")
+            or not is_finite_float(value)):
+        # reprlib bounds the work on long or nested values, the clip the length.
+        text = reprlib.repr(value)
+        text = text if len(text) <= 60 else text[:57] + "..."
+        raise BadParameterError(
+            f"{name}={text} ({type(value).__name__}) must be a finite real number")
+    return float(value)
+
+
+def require_tolerance(name: str, value, below: float = math.inf):
+    """Raise BadParameterError unless value is a real number (booleans are
+    not) with 0 < value < below."""
+    if not 0 < require_real(name, value) < below:
+        raise BadParameterError(f"{name}={value} must lie in (0, {below:g})")
 
 
 def require_instance(name: str, value, kind: type):
@@ -177,8 +194,11 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
     error, so these ranks are the counts eigvalsh would give. A matrix that
     fails the re-checks or the Hermiticity test is decided without its
     spectrum too. Only the rest go to one stacked eigvalsh.
+
+    tol must lie in (0, 1), BadParameterError otherwise: at tol >= 1 the
+    bands around 0 and 1 overlap, and every zero eigenvalue would count as 1.
     """
-    require_tolerance("tol", tol)
+    require_tolerance("tol", tol, 1.0)
     ms = as_complex(ms)
     if ms.ndim < 2 or ms.shape[-1] != ms.shape[-2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {ms.shape}")
@@ -189,7 +209,7 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
     residuals = np.linalg.norm(ms @ ms - ms, axis=(-2, -1))
     size = np.linalg.norm(ms, axis=(-2, -1))
     proven = _proves_rank(n, tol, residuals, skew, size,
-                          16 * n * np.finfo(float).eps * (size + 1.0) ** 2)
+                          16 * n * EPS * (size + 1.0) ** 2)
     not_hermitian = skew > tol * np.maximum(1.0, size)
     not_projection = (residuals > 10.0 * tol) | (skew > 10.0 * tol)
     traces = np.trace(ms, axis1=-2, axis2=-1).real
@@ -207,7 +227,8 @@ def projection_ranks(ms, tol: float = DEFAULT_PROJECTION_TOL) -> tuple[np.ndarra
 def validate_projection(m, tol: float = DEFAULT_PROJECTION_TOL) -> Projection:
     """Certify m as a projection and count its rank: projection_ranks for one matrix.
 
-    Raises NotHermitianError or NotAProjectionError.
+    Raises NotHermitianError or NotAProjectionError, and BadParameterError
+    unless tol lies in (0, 1).
     """
     m = as_matrix(m)
     (rank,), _ = projection_ranks(m[None], tol)
@@ -383,7 +404,7 @@ def _rank_k_projections(k: int, g: np.ndarray) -> np.ndarray:
     v = _haar_columns(k, g)
     ms = v @ dagger(v)
     n = ms.shape[-1]
-    e = 16 * k * (n + 2) * np.finfo(float).eps
+    e = 16 * k * (n + 2) * EPS
     gram = np.linalg.norm(dagger(v) @ v - np.eye(k), axis=(-2, -1))
     open_draws = ~(4.0 * (gram + 2.0 * e) <= DEFAULT_PROJECTION_TOL)
     if open_draws.any() and np.any(projection_ranks(ms[open_draws])[0] != k):

@@ -8,6 +8,7 @@ The pytest acceptance module drives the same functions at full scale.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -43,8 +44,15 @@ class CriterionResult:
     seconds: float
 
 
-def _timed(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.perf_counter() - t0)
+def _criterion(check):
+    """A criterion from check(full) -> (passed, detail): the result is named
+    after the function, and the call is timed."""
+    @functools.wraps(check)
+    def timed(full: bool = True) -> CriterionResult:
+        t0 = time.perf_counter()
+        passed, detail = check(full)
+        return CriterionResult(check.__name__, passed, detail, time.perf_counter() - t0)
+    return timed
 
 
 def _wigner_trial(tag: int, t: int, n_max: int):
@@ -58,9 +66,9 @@ def _wigner_trial(tag: int, t: int, n_max: int):
     return n, k, variant, u, wigner_map(u, variant)
 
 
-def lemma1_identity(full: bool = True) -> CriterionResult:
+@_criterion
+def lemma1_identity(full: bool = True):
     """Rank-1 recovery from k+1 rank-k projections: residual <= 1e-12."""
-    t0 = time.perf_counter()
     n_max = 8 if full else 5
     reps = 20 if full else 5
     worst, cases = 0.0, 0
@@ -71,13 +79,12 @@ def lemma1_identity(full: bool = True) -> CriterionResult:
                 dec = lemma1_projections(n, k, basis, which=r % n)
                 worst = max(worst, dec.residual)
                 cases += 1
-    return _timed("lemma1_identity", worst <= 1e-12,
-                  f"max residual {worst:.2e} over {cases} decompositions", t0)
+    return worst <= 1e-12, f"max residual {worst:.2e} over {cases} decompositions"
 
 
-def classification_round_trip(full: bool = True) -> CriterionResult:
+@_criterion
+def classification_round_trip(full: bool = True):
     """classify recovers (variant, U) from generated conjugation maps."""
-    t0 = time.perf_counter()
     trials = 200 if full else 20
     n_max = 8 if full else 5
     failures = 0
@@ -91,14 +98,13 @@ def classification_round_trip(full: bool = True) -> CriterionResult:
             worst_u = max(worst_u, phase_distance(rep.form.u, u))
             ok = rep.form.residual <= 1e-9 and phase_distance(rep.form.u, u) <= 1e-8
         failures += not ok
-    return _timed("classification_round_trip", failures == 0,
-                  f"{trials - failures}/{trials} trials; worst residual {worst_res:.2e}, "
-                  f"worst unitary error {worst_u:.2e}", t0)
+    return failures == 0, (f"{trials - failures}/{trials} trials; worst residual "
+                           f"{worst_res:.2e}, worst unitary error {worst_u:.2e}")
 
 
-def hypothesis_ablation(full: bool = True) -> CriterionResult:
+@_criterion
+def hypothesis_ablation(full: bool = True):
     """Each hypothesis fails in isolation with the expected reason."""
-    t0 = time.perf_counter()
     problems = []
 
     rep = classify(depolarizing(4, 0.5), 2, ClassifyConfig(seed=31))
@@ -116,13 +122,12 @@ def hypothesis_ablation(full: bool = True) -> CriterionResult:
     if not (rep.verdict == "not_wigner" and "unital_violation" in rep.reasons):
         problems.append(f"doubled trace: reasons={rep.reasons}")
 
-    return _timed("hypothesis_ablation", not problems,
-                  "; ".join(problems) if problems else "3/3 ablations as expected", t0)
+    return not problems, "; ".join(problems) if problems else "3/3 ablations as expected"
 
 
-def variant_discriminator(full: bool = True) -> CriterionResult:
+@_criterion
+def variant_discriminator(full: bool = True):
     """Residual-chosen variant agrees with the Choi least-eigenvalue test."""
-    t0 = time.perf_counter()
     failures = 0
     for t in range(100):
         _, k, _, _, s = _wigner_trial(40, t, 8)
@@ -134,13 +139,12 @@ def variant_discriminator(full: bool = True) -> CriterionResult:
             failures += not (lam >= -1e-9)
         else:
             failures += not (abs(lam + 1.0) <= 1e-9)
-    return _timed("variant_discriminator", failures == 0,
-                  f"{100 - failures}/100 maps consistent with Choi spectrum", t0)
+    return failures == 0, f"{100 - failures}/100 maps consistent with Choi spectrum"
 
 
-def vector_state_transfer(full: bool = True) -> CriterionResult:
+@_criterion
+def vector_state_transfer(full: bool = True):
     """(phi(a) x, x) = (a y, y) with y from the recovered form."""
-    t0 = time.perf_counter()
     worst = 0.0
     failures = 0
     for t in range(100):
@@ -157,13 +161,12 @@ def vector_state_transfer(full: bool = True) -> CriterionResult:
             rhs = np.vdot(y, a @ y)
             worst = max(worst, abs(lhs - rhs))
     passed = failures == 0 and worst <= 1e-10
-    return _timed("vector_state_transfer", passed,
-                  f"worst transfer error {worst:.2e} over 100 maps x 100 pairs", t0)
+    return passed, f"worst transfer error {worst:.2e} over 100 maps x 100 pairs"
 
 
-def definite_set_identity(full: bool = True) -> CriterionResult:
+@_criterion
+def definite_set_identity(full: bool = True):
     """||phi(Q) - phi(Q)^2||_F <= 1e-10 on sampled rank-k projections."""
-    t0 = time.perf_counter()
     worst = 0.0
     failures = 0
     for t in range(100):
@@ -176,13 +179,12 @@ def definite_set_identity(full: bool = True) -> CriterionResult:
             q = random_rank_k_projection(n, k, (60, t, i, 2))
             worst = max(worst, definite_set_check(s, q))
     passed = failures == 0 and worst <= 1e-10
-    return _timed("definite_set_identity", passed,
-                  f"worst idempotency deviation {worst:.2e} over 100 maps x 50 projections", t0)
+    return passed, f"worst idempotency deviation {worst:.2e} over 100 maps x 50 projections"
 
 
-def representation_round_trip(full: bool = True) -> CriterionResult:
+@_criterion
+def representation_round_trip(full: bool = True):
     """superop<->choi is an exact permutation, apply is linear."""
-    t0 = time.perf_counter()
     failures = 0
     worst_lin = 0.0
     for t in range(1000):
@@ -202,14 +204,13 @@ def representation_round_trip(full: bool = True) -> CriterionResult:
         bound = 1e-12 * (frobenius(a) + frobenius(b))
         worst_lin = max(worst_lin, lin / bound * 1e-12)
         failures += not (lin <= bound)
-    return _timed("representation_round_trip", failures == 0,
-                  f"1000 exact round trips; worst linearity residual {worst_lin:.2e} "
-                  "(normalized)", t0)
+    return failures == 0, (f"1000 exact round trips; worst linearity residual "
+                           f"{worst_lin:.2e} (normalized)")
 
 
-def positivity_calibration(full: bool = True) -> CriterionResult:
+@_criterion
+def positivity_calibration(full: bool = True):
     """Optimizer reproduces the closed-form least eigenvalue (1+mu)/n - mu."""
-    t0 = time.perf_counter()
     worst = 0.0
     for n in range(2, 7):
         for frac in (0.5, 1.0, 2.0):
@@ -219,14 +220,13 @@ def positivity_calibration(full: bool = True) -> CriterionResult:
                                           tol=1e-9, seed=(80, n, int(frac * 2)))
             expected = (1.0 + mu) / n - mu
             worst = max(worst, abs(cert.min_value - expected))
-    return _timed("positivity_calibration", worst <= 1e-6,
-                  f"max |min_value - closed form| = {worst:.2e} over 15 maps", t0)
+    return worst <= 1e-6, f"max |min_value - closed form| = {worst:.2e} over 15 maps"
 
 
-def perturbation_ladder(full: bool = True) -> CriterionResult:
+@_criterion
+def perturbation_ladder(full: bool = True):
     """eps=1e-3 classifies wigner at tol 1e-2 with residual in [eps/10, 10 eps];
     eps=0.1 classifies not_wigner at default tolerances."""
-    t0 = time.perf_counter()
     n, k = 3, 1
     failures = []
     for sd in range(20):
@@ -241,8 +241,7 @@ def perturbation_ladder(full: bool = True) -> CriterionResult:
         rep = classify(big, k, ClassifyConfig(seed=9000 + sd))
         if rep.verdict != "not_wigner":
             failures.append(f"seed {sd} eps=0.1: verdict={rep.verdict}")
-    return _timed("perturbation_ladder", not failures,
-                  "; ".join(failures) if failures else "20 seeds x 2 rungs as expected", t0)
+    return not failures, "; ".join(failures) if failures else "20 seeds x 2 rungs as expected"
 
 
 FULL_CRITERIA = (

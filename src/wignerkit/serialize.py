@@ -3,6 +3,7 @@
 Matrix JSON:   {"n": int, "data": [[[re, im], ...n entries], ...n rows]}
 SuperOp JSON:  {"n": int, "convention": "column-stacking",
                 "repr": "superop" | "choi", "data": <matrix JSON of size n^2>}
+               (written as "superop"; "choi" is read only)
 Report JSON:   {"verdict", "reasons", "variant", "unitary", "residual",
                 "hypotheses"}
 Generator spec: {"family", "n", "params", "seed"}
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import SerializationError
 from .matrix_core import MAX_DIMENSION, as_complex, is_finite_float
-from .superop import CONVENTION, ChoiMatrix, SuperOp, from_choi, to_choi
+from .superop import CONVENTION, ChoiMatrix, SuperOp, from_choi
 from .wigner import AnalysisReport
 
 
@@ -70,27 +71,21 @@ def _is_pair(entry) -> bool:
             and all(type(x) in (int, float) for x in entry))
 
 
-def superop_to_json(s: SuperOp, repr_tag: str = "superop") -> dict:
-    obj = superop_document(s, repr_tag)
-    obj["data"] = matrix_to_json(obj["data"]["data"])
-    return obj
+def superop_to_json(s: SuperOp) -> dict:
+    """The superoperator JSON of s, with "repr" "superop": the one
+    representation written. Files with "repr" "choi" are read, not written."""
+    return {**superop_document(s), "data": matrix_to_json(s.mat)}
 
 
-def superop_document(s: SuperOp, repr_tag: str = "superop") -> dict:
-    """superop_to_json(s, repr_tag) with its matrix block's "data" left as
-    the n^2 x n^2 complex array, which dump and dumps write as the nested
-    list, byte for byte, without building it."""
-    if repr_tag == "superop":
-        mat = s.mat
-    elif repr_tag == "choi":
-        mat = to_choi(s).mat
-    else:
-        raise SerializationError(f"unknown repr {repr_tag!r}; expected 'superop' or 'choi'")
+def superop_document(s: SuperOp) -> dict:
+    """superop_to_json(s) with its matrix block's "data" left as S's own
+    n^2 x n^2 complex array, which dump and dumps write as the nested list,
+    byte for byte, without building it."""
     return {
         "n": s.n,
         "convention": CONVENTION,
-        "repr": repr_tag,
-        "data": {"n": int(mat.shape[0]), "data": mat},
+        "repr": "superop",
+        "data": {"n": int(s.mat.shape[0]), "data": s.mat},
     }
 
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .matrix_core import (
     DEFAULT_PROJECTION_TOL,
+    EPS,
     MAX_DRAWS,
     Projection,
     _proves_rank,
@@ -71,9 +72,6 @@ BASIS_SUBSET_CAP = 100
 
 # Entries below this are treated as zero by the phase-gauge convention.
 PHASE_GAUGE_EPS = 1e-8
-
-# The unit roundoff of float64 arithmetic, np.finfo(float).eps.
-EPS = 2.0 ** -52
 
 # classify's default unital (and Hermiticity) rung (see ClassifyConfig).
 UNITAL_TOL = 1e-8
@@ -181,8 +179,8 @@ class ClassifyConfig:
     model violation: unital_tol UNITAL_TOL (1e-8, Hermiticity too),
     positivity_tol POSITIVITY_TOL (1e-9), projection_tol
     DEFAULT_PROJECTION_TOL (1e-8) and decomposition_tol DECOMPOSITION_TOL
-    (1e-6), read as properties. A finite positive tol sets every rung to
-    tol, and positivity to max(tol, POSITIVITY_TOL). Frozen, so every field
+    (1e-6), read as properties. A tol in (0, 1) sets every rung to tol,
+    and positivity to max(tol, POSITIVITY_TOL). Frozen, so every field
     has passed __post_init__'s checks; dataclasses.replace makes changed
     copies, such as replace(cfg, tol=t). samples and restarts are at most
     matrix_core.MAX_DRAWS (1000): the audit and the search stack a few
@@ -199,7 +197,7 @@ class ClassifyConfig:
                                   ("max_iters", 0, None)):
             require_count(name, getattr(self, name), least, most)
         if self.tol is not None:
-            require_tolerance("tol", self.tol)
+            require_tolerance("tol", self.tol, 1.0)
         require_seed(self.seed)
 
     @property
@@ -272,23 +270,24 @@ def preserves_rank_k(s: SuperOp, k: int, samples: int = 100,
     pass_fraction == 1 and is_invertible(s), and cond(S) is computed only
     when every sample passed.
     samples is at most MAX_DRAWS (1000), since the draws and their images
-    are held as stacks; BadParameterError otherwise.
+    are held as stacks, and tol lies in (0, 1), as in projection_ranks;
+    BadParameterError otherwise.
     """
     require_instance("s", s, SuperOp)
     n = s.n
     require_rank(k, n)
     require_count("samples", samples, 0, MAX_DRAWS)
-    require_tolerance("tol", tol)
+    require_tolerance("tol", tol, 1.0)
     require_seed(seed)
     return _audit_rank_k(s, k, samples, tol, seed)
 
 
 def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
                   delta: float = np.inf, epsilon: float = np.inf) -> RankKAudit:
-    # preserves_rank_k on arguments already checked. delta and epsilon come
-    # from classify's fitted model (see AnalysisReport): epsilon + delta <= 1/2
-    # proves S invertible with no cond(S), and _proves_rank_k may prove every
-    # image's rank with no per-image test.
+    # preserves_rank_k on arguments already checked. delta and epsilon bound
+    # classify's fitted model (see _model_bounds; inf when there is none):
+    # epsilon + delta <= 1/2 proves S invertible with no cond(S), and
+    # _proves_rank_k may prove every image's rank with no per-image test.
     n = s.n
     subsets = np.array(list(itertools.islice(
         itertools.combinations(range(n), k), BASIS_SUBSET_CAP)))
@@ -325,9 +324,9 @@ def _audit_rank_k(s: SuperOp, k: int, samples: int, tol: float, seed,
 
 def _proves_rank_k(n: int, k: int, tol: float, delta: float, epsilon: float,
                    residual: float) -> bool:
-    # Whether a conjugation model with ||S - S_model||_F = delta and
-    # ||U*U - I||_F = epsilon, both as _fit_form and classify compute them,
-    # proves that every rank-k projection maps to a rank-k projection that
+    # Whether a conjugation model with ||S - S_model||_F <= delta and
+    # ||U*U - I||_F <= epsilon, as _model_bounds gives them, proves that
+    # every rank-k projection maps to a rank-k projection that
     # projection_ranks(., tol) certifies, and that it certifies every audit
     # image as rank k when residual is their largest ||M^2 - M||_F. It
     # applies projection_ranks' own test, _proves_rank, to bounds on each
@@ -343,11 +342,8 @@ def _proves_rank_k(n: int, k: int, tol: float, delta: float, epsilon: float,
     skew = 4.0 * k * (k + 2) * EPS
     size = math.sqrt(k) + 2.0 * math.sqrt(n) * DEFAULT_PROJECTION_TOL + skew
     shift = n * DEFAULT_PROJECTION_TOL
-    # epsilon and delta with the rounding of their own computation, then
     # ||U||_2^2 <= c and ||S||_F <= ||U||_F^2 + delta <= n c + delta.
-    epsilon = epsilon * (1.0 + n * n * EPS) + 2.0 * n * (n + 2) * EPS
     c = 1.0 + epsilon
-    delta = delta * (1.0 + 4.0 * n * n * EPS) + 4.0 * n * c * EPS
     # Each image is model(m) + D, model(m) = U m U* (U m^t U*), with D the
     # map's deviation from the model on m, at most delta ||m||_F, plus the
     # rounding of the product with S, (n^2 + 2) eps ||m||_F ||S||_F.
@@ -424,10 +420,11 @@ def extract_unitary(s: SuperOp, tol: float = DECOMPOSITION_TOL) -> WignerForm:
     return _fit_form(s, tol)[0]
 
 
-def _fit_form(s: SuperOp, tol: float) -> tuple[WignerForm, float]:
+def _fit_form(s: SuperOp, tol: float) -> tuple[WignerForm, float, float]:
     # extract_unitary on a checked tol, with delta = ||S - S_model||_F of
-    # the winning variant: the root-sum-square of its per-unit deviations,
-    # whose maximum is the residual.
+    # the winning variant, the root-sum-square of its per-unit deviations,
+    # whose maximum is the residual, and epsilon = ||U*U - I||_F (see
+    # AnalysisReport).
     n = s.n
     units = unit_images(s)
 
@@ -489,7 +486,19 @@ def _fit_form(s: SuperOp, tol: float) -> tuple[WignerForm, float]:
                                      f"(direct {res_d:.3e}, transpose {res_t:.3e})")
         if (res_d <= res_t) != (first == DIRECT):
             first, u, residual, delta = other, u_other, res_other, frobenius(dev_other)
-    return WignerForm(u=u, variant=first, residual=residual), delta
+    epsilon = frobenius(dagger(u) @ u - np.eye(n))
+    return WignerForm(u=u, variant=first, residual=residual), delta, epsilon
+
+
+def _model_bounds(n: int, delta: float, epsilon: float) -> tuple[float, float]:
+    # delta and epsilon as _fit_form computes them, raised by the rounding of
+    # their own computation, so that they bound ||S - S_model||_F and
+    # ||U*U - I||_F for the exact model: the bounds that the positivity
+    # proof, the invertibility bound and _proves_rank_k read. The second
+    # uses ||U||_2^2 <= 1 + epsilon. inf (no model) stays inf.
+    epsilon = epsilon * (1.0 + n * n * EPS) + 2.0 * n * (n + 2) * EPS
+    delta = delta * (1.0 + 4.0 * n * n * EPS) + 4.0 * n * (1.0 + epsilon) * EPS
+    return delta, epsilon
 
 
 def vector_state_partner(form: WignerForm, x: np.ndarray) -> np.ndarray:
@@ -534,7 +543,8 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     test. A map that fails the Hermiticity test loses its fit, so delta
     and epsilon are None. The paper's theorem says a map that passes every
     check is of the fitted form, so the fit proves what it can (see
-    AnalysisReport and RankKAudit):
+    AnalysisReport and RankKAudit), with delta and epsilon raised by the
+    rounding of their own computation:
     - Hermiticity, with no test, when 8 (residual + rounding margin)^2 <=
       unital_tol^2 (compared as residual + margin <= unital_tol / sqrt(8)),
       since the test's ||d||_F^2 + |Re tr d^2| is at most 8 residual^2;
@@ -559,26 +569,22 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     require_instance("config", cfg, ClassifyConfig)
 
     unital = is_unital(s, cfg.unital_tol)
-    fitted = delta = epsilon = None
+    fitted, delta, epsilon = None, np.inf, np.inf
     if unital:
         try:
-            fitted, delta = _fit_form(s, cfg.decomposition_tol)
+            fitted, delta, epsilon = _fit_form(s, cfg.decomposition_tol)
         except (NotWignerLikeError, DegenerateImageError):
             pass
-        else:
-            epsilon = frobenius(dagger(fitted.u) @ fitted.u - np.eye(s.n))
-    hp = ((fitted is not None and _proves_hermiticity(s.n, fitted.residual, epsilon,
+    bound_delta, bound_epsilon = _model_bounds(s.n, delta, epsilon)
+    hp = ((fitted is not None and _proves_hermiticity(s.n, fitted.residual, bound_epsilon,
                                                        cfg.unital_tol))
           or is_hermiticity_preserving(s, cfg.unital_tol))
     if not hp:
-        fitted = delta = epsilon = None
-    cert = None
-    if hp:
-        cert = _certify_positivity(s, cfg.restarts, cfg.max_iters, cfg.positivity_tol,
-                                   derive_seed(cfg.seed, 2),
-                                   np.inf if delta is None else delta)
+        fitted, bound_delta, bound_epsilon = None, np.inf, np.inf
+    cert = (_certify_positivity(s, cfg.restarts, cfg.max_iters, cfg.positivity_tol,
+                                derive_seed(cfg.seed, 2), bound_delta) if hp else None)
     audit = _audit_rank_k(s, k, cfg.samples, cfg.projection_tol, derive_seed(cfg.seed, 3),
-                          *(() if fitted is None else (delta, epsilon)))
+                          bound_delta, bound_epsilon)
 
     reasons = []
     if not unital:
@@ -597,4 +603,5 @@ def classify(s: SuperOp, k: int, config: ClassifyConfig | None = None) -> Analys
     return AnalysisReport(unital=unital, hermiticity_preserving=hp, positivity=cert,
                           rank_k_audit=audit, form=form,
                           verdict="wigner" if form is not None else "not_wigner",
-                          reasons=reasons, delta=delta, epsilon=epsilon)
+                          reasons=reasons, delta=None if fitted is None else delta,
+                          epsilon=None if fitted is None else epsilon)

@@ -185,7 +185,8 @@ class TestInputErrors:
         assert run_cli(capsys, "analyze", str(mapfile), "--k", "0")[0] == 2
 
     @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
-                                       ("--tol", "0"), ("--samples", "-5"), ("--seed", "-1")])
+                                       ("--tol", "0"), ("--samples", "-5"), ("--seed", "-1"),
+                                       ("--tol", "1")])
     def test_bad_tol_or_samples_exit_two(self, tmp_path, capsys, flags):
         # A true Wigner map: a bad value must not turn into a verdict either way.
         mapfile = tmp_path / "m.json"

@@ -405,7 +405,7 @@ def test_fit_on_s_layout_matches_view_deviations(kind, n):
     # and delta move by at most 4 n eps relative. The variant is equal unless
     # the two residuals tie within that.
     s = make_map(kind, n, 17)
-    form, delta = wigner._fit_form(s, 100.0)
+    form, delta, _ = wigner._fit_form(s, 100.0)
     ref, ref_delta, (res_d, res_t) = ref_fit_form(s)
     bound = 4 * n * EPS
     assert abs(form.residual - ref.residual) <= bound * ref.residual
@@ -431,7 +431,7 @@ def test_skipped_variant_loses(n, variant, size, seed, tol):
         mp.setattr(wigner, "_polar_unitary",
                    lambda m, fit=wigner._polar_unitary: calls.append(1) or fit(m))
         try:
-            form, _ = wigner._fit_form(s, tol)
+            form, _, _ = wigner._fit_form(s, tol)
         except (NotWignerLikeError, DegenerateImageError):
             form = None
     _, _, (res_d, res_t) = ref_fit_form(s)

@@ -48,6 +48,16 @@ def reference_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def map_json(s: SuperOp, repr_tag: str) -> dict:
+    """A map file's object with "repr" repr_tag: superop_to_json(s), or for
+    "choi" the same with s's Choi matrix, which the package reads but never
+    writes."""
+    obj = superop_to_json(s)
+    if repr_tag == "choi":
+        obj.update(repr="choi", data=matrix_to_json(to_choi(s).mat))
+    return obj
+
+
 def ref_matrix_from_json(obj) -> np.ndarray:
     """The per-entry loop matrix_from_json replaced, for valid payloads."""
     out = np.zeros((obj["n"], obj["n"]), dtype=complex)
@@ -139,8 +149,7 @@ class TestSuperOpJson:
 
     def test_choi_repr_round_trip(self):
         s = depolarizing(3, 0.4)
-        obj = superop_to_json(s, repr_tag="choi")
-        assert obj["repr"] == "choi"
+        obj = map_json(s, "choi")
         np.testing.assert_array_equal(matrix_from_json(obj["data"]), to_choi(s).mat)
         again = superop_from_json(obj)
         rng = np.random.default_rng(3)
@@ -168,7 +177,7 @@ class TestSuperOpJson:
     @pytest.mark.parametrize("repr_tag", ["superop", "choi"])
     def test_entry_above_the_ceiling(self, repr_tag):
         # A finite float the reader accepts, which the map checks then refuse.
-        obj = json.loads(dumps(superop_to_json(depolarizing(2, 0.5), repr_tag)))
+        obj = json.loads(dumps(map_json(depolarizing(2, 0.5), repr_tag)))
         obj["data"]["data"][1][2] = [0.0, -1e61]
         with pytest.raises(NonFiniteError, match="exceeds"):
             superop_from_json(obj)
@@ -246,7 +255,7 @@ class TestDumps:
     @pytest.mark.parametrize("n", range(1, 17))
     @pytest.mark.parametrize("family", FAMILIES)
     def test_map_files_match_reference(self, family, n, repr_tag):
-        obj = superop_to_json(build_map(family, n, FAMILY_PARAMS[family], seed=n), repr_tag)
+        obj = map_json(build_map(family, n, FAMILY_PARAMS[family], seed=n), repr_tag)
         assert dumps(obj) == reference_dumps(obj)
 
     @pytest.mark.parametrize("s,verdict", [
@@ -306,14 +315,17 @@ class TestDumps:
             tracemalloc.stop()
         assert peak <= 4 * len(text)
 
-    @pytest.mark.parametrize("repr_tag", ["superop", "choi"])
+    @pytest.mark.parametrize("read_from", ["superop", "choi"])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_documents_write_superop_to_json_text(self, family, n, repr_tag):
+    def test_documents_write_superop_to_json_text(self, family, n, read_from):
+        # A map read from a file of either representation is written as its
+        # superoperator, from its own array: the text of superop_to_json.
         s = build_map(family, n, FAMILY_PARAMS[family], seed=n)
-        doc = superop_document(s, repr_tag)
-        assert (doc["data"]["data"] is s.mat) == (repr_tag == "superop")
-        assert dumps(doc) == dumps(superop_to_json(s, repr_tag))
+        read = superop_from_json(json.loads(dumps(map_json(s, read_from))))
+        doc = superop_document(read)
+        assert doc["repr"] == "superop" and doc["data"]["data"] is read.mat
+        assert dumps(doc) == dumps(superop_to_json(read)) == dumps(superop_to_json(s))
 
     @pytest.mark.parametrize("obj", [
         {"n": 1, "data": np.array([[complex("nan+1j")]])},
@@ -479,7 +491,7 @@ class TestProperties:
         # Any entry a SuperOp holds: finite and at most MAX_ENTRY in magnitude.
         n, values = drawn
         s = SuperOp(n, np.array(values).view(complex).reshape(n * n, n * n))
-        again = superop_from_json(json.loads(dumps(superop_to_json(s, repr_tag))))
+        again = superop_from_json(json.loads(dumps(map_json(s, repr_tag))))
         assert again.n == n
         np.testing.assert_array_equal(bits(again.mat), bits(s.mat))
 
@@ -493,7 +505,7 @@ class TestProperties:
         st.tuples(st.sampled_from(["n", "convention", "repr", "data"]), st.just(MISSING))))
     def test_bad_superop_header_rejected(self, repr_tag, fault):
         key, value = fault
-        obj = superop_to_json(depolarizing(2, 0.5), repr_tag)
+        obj = map_json(depolarizing(2, 0.5), repr_tag)
         if value is MISSING:
             del obj[key]
         else:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wignerkit import (
     DimensionMismatchError,
     NonFiniteError,
     NotWignerLikeError,
+    SerializationError,
     apply,
     choi_map,
     classify,
@@ -48,7 +50,8 @@ from wignerkit import (
     wigner_map,
 )
 from wignerkit import matrix_core, superop, wigner
-from wignerkit.matrix_core import MAX_DRAWS, derive_seed
+from wignerkit.matrix_core import MAX_DRAWS, as_matrix, derive_seed, projection_ranks
+from wignerkit.serialize import superop_from_json
 from wignerkit.superop import SuperOp
 
 
@@ -333,11 +336,20 @@ def test_wrong_argument_type_raises_typed_error(call, kind, value):
     (lambda: invert(_MAP.mat), BadParameterError, "s must be a SuperOp, not ndarray"),
     (lambda: from_action(2, lambda a: np.zeros((3, 3))), DimensionMismatchError,
      "E_00 is 3x3, expected n=2"),
+    (lambda: as_matrix(np.zeros((2, 3))), DimensionMismatchError,
+     r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: apply(_MAP, np.full((3, 3), np.nan)), NonFiniteError, "NaN or infinite"),
+    (lambda: projection_ranks(np.full((1, 2, 2), np.nan)), NonFiniteError, "NaN or infinite"),
+    (lambda: superop_from_json([]), SerializationError, "must be an object"),
+    (lambda: lemma1_projections(3, 1, np.eye(2)), DimensionMismatchError,
+     "basis is 2x2, expected n=3"),
 ], ids=["classify-config", "to_choi", "from_choi", "is_invertible", "invert",
-        "from_action-shape"])
+        "from_action-shape", "as_matrix-shape", "as_matrix-nan", "projection_ranks-nan",
+        "superop_from_json-list", "lemma1_projections-basis"])
 def test_remaining_entry_points_raise_typed_errors(call, error, message):
-    # Unchecked, the first five end in a bare AttributeError and the last in
-    # numpy's broadcast ValueError.
+    # Unchecked, the first five end in a bare AttributeError and
+    # from_action's in numpy's broadcast ValueError; the rest pin checks that
+    # no other test reaches.
     with pytest.raises(error, match=message):
         call()
 
@@ -539,6 +551,38 @@ class TestClassify:
         cfg = ClassifyConfig(samples=0, restarts=1, max_iters=np.int64(0))
         assert (cfg.samples, cfg.restarts, cfg.max_iters) == (0, 1, 0)
 
+    @pytest.mark.parametrize("tol", [1.0, 1.5, 1.7e308])
+    def test_projection_tolerance_must_be_below_one(self, tol):
+        # At tol >= 1 the bands around 0 and 1 overlap, so every zero
+        # eigenvalue counted as 1: a Wigner map was "not_wigner" with
+        # rank_k_violation, a rank-2 projection was certified as rank 4, and
+        # tol 1.7e308 overflowed in projection_ranks.
+        q = random_rank_k_projection(4, 2, 1).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: ClassifyConfig(tol=tol),
+                         lambda: projection_ranks(q[None], tol),
+                         lambda: validate_projection(q, tol),
+                         lambda: preserves_rank_k(wigner_map(haar_unitary(4, 1)), 2, tol=tol)):
+                with pytest.raises(BadParameterError, match="tol"):
+                    call()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_decomposition_failure_alone(self, variant, n):
+        # A Wigner map plus 0.012 X on phi(E_01) and 0.012 X* on phi(E_10),
+        # X of unit norm: unital, Hermiticity-preserving, positive and rank-k
+        # preserving at tol 1e-2, but no conjugation model lies within it.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        x /= np.linalg.norm(x)
+        mat = wigner_map(haar_unitary(n, 0), variant).mat.copy()
+        mat[:, n] += 0.012 * x.ravel(order="F")
+        mat[:, 1] += 0.012 * x.conj().T.ravel(order="F")
+        rep = classify(SuperOp(n, mat), 1, ClassifyConfig(tol=1e-2))
+        assert rep.reasons == ["decomposition_failure"] and rep.verdict == "not_wigner"
+        assert rep.form is None and rep.delta is None and rep.epsilon is None
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 10**400, True,
                                      "1e-2"])
     def test_config_rejects_bad_tolerance(self, tol):
@@ -559,10 +603,10 @@ class TestModelCertificate:
         u = haar_unitary(n, seed)
         s = perturbed_wigner(u, variant, eps, seed)
         # A tolerance of 100 also loosens the rank-1 gate, so every map is fitted.
-        form, delta = wigner._fit_form(s, 100.0)
+        form, delta, epsilon = wigner._fit_form(s, 100.0)
         model = wigner_map(form.u, form.variant)
         assert delta == pytest.approx(np.linalg.norm(s.mat - model.mat), rel=1e-9, abs=1e-14)
-        epsilon = np.linalg.norm(form.u.conj().T @ form.u - np.eye(n))
+        assert epsilon == np.linalg.norm(form.u.conj().T @ form.u - np.eye(n))
 
         for i in range(10):
             x = random_unit_vector(n, (seed, i))
@@ -603,6 +647,27 @@ class TestModelCertificate:
             (public.min_value, public.converged)
         assert np.array_equal(rep.positivity.witness, public.witness)
         assert rep.verdict == "wigner"
+
+    @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
+    def test_stages_read_the_rounded_bounds(self, monkeypatch, variant):
+        # The positivity proof, the invertibility bound and the rank-k proof
+        # read delta and epsilon raised by their own rounding, not the raw
+        # values the report holds.
+        seen = {}
+
+        def spy(name, stage):
+            def call(*args):
+                seen[name] = args[-2:] if name == "audit" else args[-1]
+                return stage(*args)
+            return call
+
+        monkeypatch.setattr(wigner, "_certify_positivity",
+                            spy("positivity", wigner._certify_positivity))
+        monkeypatch.setattr(wigner, "_audit_rank_k", spy("audit", wigner._audit_rank_k))
+        rep = classify(wigner_map(haar_unitary(6, 4), variant), 3, ClassifyConfig(samples=5))
+        bounds = wigner._model_bounds(6, rep.delta, rep.epsilon)
+        assert bounds[0] > rep.delta and bounds[1] > rep.epsilon
+        assert seen == {"positivity": bounds[0], "audit": bounds}
 
     @pytest.mark.parametrize("variant", [DIRECT, TRANSPOSE])
     def test_accept_at_n32_needs_no_cond_and_no_cholesky(self, monkeypatch, variant):
@@ -694,6 +759,8 @@ class TestModelCertificate:
         s = wigner_map(haar_unitary(4, 2))
         assert wigner._proves_rank_k(4, 2, 1e-8, 0.0, 0.0, 0.0)
         assert not wigner._proves_rank_k(4, 2, 1e-8, delta, epsilon, 0.0)
+        assert not wigner._proves_rank_k(4, 2, 1e-8, *wigner._model_bounds(4, delta, epsilon),
+                                         0.0)
         audit = wigner._audit_rank_k(s, 2, 5, 1e-8, (3,), delta, epsilon)
         assert audit.proof == "sampled" and audit.pass_fraction == 1.0
 
