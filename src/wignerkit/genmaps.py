@@ -31,7 +31,10 @@ from .matrix_core import (
 from .superop import ChoiMatrix, SuperOp, from_action, from_choi, vec
 from .wigner import DIRECT, TRANSPOSE
 
-FAMILIES = ("wigner", "depolarizing", "pseudo_depolarizing", "perturbed_wigner")
+# Each family and the spec parameters it reads; build_map refuses any other key.
+_PARAMS = {"wigner": ("variant",), "depolarizing": ("lambda",),
+           "pseudo_depolarizing": ("mu",), "perturbed_wigner": ("variant", "epsilon")}
+FAMILIES = tuple(_PARAMS)
 
 
 def _transpose_columns(n: int) -> np.ndarray:
@@ -145,9 +148,18 @@ def planted_indefinite(n: int, seed=0) -> SuperOp:
 
 def build_map(name: str, n: int, params: dict | None = None, seed=0) -> SuperOp:
     """Construct a family member from its generator spec fields. The seed is
-    checked for every family, though only the two Wigner families draw from it."""
+    checked for every family, though only the two Wigner families draw from
+    it. params must be a dict of the keys the family reads, or None."""
     require_seed(seed)
-    params = params or {}
+    if name not in FAMILIES:
+        raise BadParameterError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise BadParameterError(f"family parameters must be a dict, got {type(params).__name__}")
+    for key in params:
+        if key not in _PARAMS[name]:
+            raise BadParameterError(f"family {name!r} has no parameter {key!r}; it reads "
+                                    + " and ".join(_PARAMS[name]))
     if name == "wigner":
         return wigner_map(haar_unitary(n, derive_seed(seed, 0)),
                           params.get("variant", DIRECT))
@@ -155,15 +167,12 @@ def build_map(name: str, n: int, params: dict | None = None, seed=0) -> SuperOp:
         return depolarizing(n, _require_param(params, "lambda"))
     if name == "pseudo_depolarizing":
         return pseudo_depolarizing(n, _require_param(params, "mu"))
-    if name == "perturbed_wigner":
-        return perturbed_wigner(haar_unitary(n, derive_seed(seed, 0)),
-                                params.get("variant", DIRECT),
-                                _require_param(params, "epsilon"), seed)
-    raise BadParameterError(f"unknown family {name!r}; expected one of {FAMILIES}")
+    return perturbed_wigner(haar_unitary(n, derive_seed(seed, 0)),
+                            params.get("variant", DIRECT),
+                            _require_param(params, "epsilon"), seed)
 
 
 def _require_param(params: dict, key: str):
     if key not in params:
         raise BadParameterError(f"family parameter {key!r} is required")
     return params[key]
-

@@ -55,15 +55,32 @@ def _criterion(check):
     return timed
 
 
-def _wigner_trial(tag: int, t: int, n_max: int):
-    # Trial t of the criterion seeded by tag: (n, k, variant, U, map) with
-    # 2 <= n <= n_max, 1 <= k < n and a Haar-random U.
-    rng = np.random.default_rng((tag, t))
-    n = int(rng.integers(2, n_max + 1))
-    k = int(rng.integers(1, n))
-    variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
-    u = haar_unitary(n, (tag, t, 1))
-    return n, k, variant, u, wigner_map(u, variant)
+def _wigner_trials(tag: int, trials: int, n_max: int, samples: int, seed0: int):
+    # The trials of the criterion seeded by tag: for each t, (t, n, k, variant,
+    # U, map, report) with 2 <= n <= n_max, 1 <= k < n, a Haar-random U, and
+    # the map classified with `samples` audit draws and seed seed0 + t.
+    for t in range(trials):
+        rng = np.random.default_rng((tag, t))
+        n = int(rng.integers(2, n_max + 1))
+        k = int(rng.integers(1, n))
+        variant = DIRECT if rng.integers(2) == 0 else TRANSPOSE
+        u = haar_unitary(n, (tag, t, 1))
+        s = wigner_map(u, variant)
+        cfg = ClassifyConfig(samples=samples, seed=seed0 + t)
+        yield t, n, k, variant, u, s, classify(s, k, cfg)
+
+
+def _worst_deviation(tag: int, seed0: int, deviations) -> tuple[bool, float]:
+    # Over 100 trials at n <= 6 with 40 audit draws: whether every map is
+    # classified "wigner" with every deviation within 1e-10, and the worst of
+    # deviations(t, n, k, map, form) over the maps classified "wigner".
+    worst, failures = 0.0, 0
+    for t, n, k, _, _, s, rep in _wigner_trials(tag, 100, 6, 40, seed0):
+        if rep.verdict != "wigner":
+            failures += 1
+        else:
+            worst = max(worst, *deviations(t, n, k, s, rep.form))
+    return failures == 0 and worst <= 1e-10, worst
 
 
 @_criterion
@@ -89,9 +106,7 @@ def classification_round_trip(full: bool = True):
     n_max = 8 if full else 5
     failures = 0
     worst_res, worst_u = 0.0, 0.0
-    for t in range(trials):
-        n, k, variant, u, s = _wigner_trial(20, t, n_max)
-        rep = classify(s, k, ClassifyConfig(seed=t))
+    for _, _, _, variant, u, _, rep in _wigner_trials(20, trials, n_max, 100, 0):
         ok = rep.verdict == "wigner" and rep.form is not None and rep.form.variant == variant
         if ok:
             worst_res = max(worst_res, rep.form.residual)
@@ -129,9 +144,7 @@ def hypothesis_ablation(full: bool = True):
 def variant_discriminator(full: bool = True):
     """Residual-chosen variant agrees with the Choi least-eigenvalue test."""
     failures = 0
-    for t in range(100):
-        _, k, _, _, s = _wigner_trial(40, t, 8)
-        rep = classify(s, k, ClassifyConfig(samples=40, seed=4000 + t))
+    for _, _, _, _, _, s, rep in _wigner_trials(40, 100, 8, 40, 4000):
         lam = float(np.linalg.eigvalsh(hermitian_part(to_choi(s).mat))[0])
         if rep.verdict != "wigner":
             failures += 1
@@ -145,40 +158,23 @@ def variant_discriminator(full: bool = True):
 @_criterion
 def vector_state_transfer(full: bool = True):
     """(phi(a) x, x) = (a y, y) with y from the recovered form."""
-    worst = 0.0
-    failures = 0
-    for t in range(100):
-        n, k, _, _, s = _wigner_trial(50, t, 6)
-        rep = classify(s, k, ClassifyConfig(samples=40, seed=5000 + t))
-        if rep.verdict != "wigner":
-            failures += 1
-            continue
+    def errors(t, n, k, s, form):
         for j in range(100):
             a = random_hermitian(n, (50, t, j, 2))
             x = random_unit_vector(n, (50, t, j, 3))
-            y = vector_state_partner(rep.form, x)
-            lhs = np.vdot(x, apply(s, a) @ x)
-            rhs = np.vdot(y, a @ y)
-            worst = max(worst, abs(lhs - rhs))
-    passed = failures == 0 and worst <= 1e-10
+            y = vector_state_partner(form, x)
+            yield abs(np.vdot(x, apply(s, a) @ x) - np.vdot(y, a @ y))
+    passed, worst = _worst_deviation(50, 5000, errors)
     return passed, f"worst transfer error {worst:.2e} over 100 maps x 100 pairs"
 
 
 @_criterion
 def definite_set_identity(full: bool = True):
     """||phi(Q) - phi(Q)^2||_F <= 1e-10 on sampled rank-k projections."""
-    worst = 0.0
-    failures = 0
-    for t in range(100):
-        n, k, _, _, s = _wigner_trial(60, t, 6)
-        rep = classify(s, k, ClassifyConfig(samples=40, seed=6000 + t))
-        if rep.verdict != "wigner":
-            failures += 1
-            continue
-        for i in range(50):
-            q = random_rank_k_projection(n, k, (60, t, i, 2))
-            worst = max(worst, definite_set_check(s, q))
-    passed = failures == 0 and worst <= 1e-10
+    def deviations(t, n, k, s, form):
+        return (definite_set_check(s, random_rank_k_projection(n, k, (60, t, i, 2)))
+                for i in range(50))
+    passed, worst = _worst_deviation(60, 6000, deviations)
     return passed, f"worst idempotency deviation {worst:.2e} over 100 maps x 50 projections"
 
 

@@ -6,7 +6,8 @@ SuperOp JSON:  {"n": int, "convention": "column-stacking",
                (written as "superop"; "choi" is read only)
 Report JSON:   {"verdict", "reasons", "variant", "unitary", "residual",
                 "hypotheses"}
-Generator spec: {"family", "n", "params", "seed"}
+Generator spec: {"family", "n", "params", "seed"}, no other key; params
+               holds only the keys its family reads (see genmaps.build_map)
 
 Only the column-stacking convention is accepted; a mismatching tag is a
 load error, never silently reinterpreted. JSON true/false load as bool, a
@@ -145,6 +146,10 @@ def family_spec_from_json(obj) -> tuple[str, int, dict, int | None]:
     """Parse a generator spec into (family, n, params, seed or None)."""
     if not isinstance(obj, dict):
         raise SerializationError("generator spec must be a JSON object")
+    for key in obj:
+        if key not in ("family", "n", "params", "seed"):
+            raise SerializationError(f"generator spec has unknown key {key!r}; "
+                                     "expected family, n, params and seed")
     for key in ("family", "n"):
         if key not in obj:
             raise SerializationError(f"generator spec missing key {key!r}")

@@ -40,6 +40,10 @@ from .matrix_core import (
 
 CONVENTION = "column-stacking"
 
+# The default tolerance of is_unital and is_hermiticity_preserving, and the
+# least Hermiticity tolerance of positivity_certificate.
+CHECK_TOL = 1e-10
+
 # positivity_certificate's default tolerance, and the least positivity rung
 # of classify (see wigner.ClassifyConfig).
 POSITIVITY_TOL = 1e-9
@@ -198,7 +202,7 @@ def from_choi(c: ChoiMatrix) -> SuperOp:
     return SuperOp(c.n, _reshuffle(c.mat, c.n))
 
 
-def is_unital(s: SuperOp, tol: float = 1e-10) -> bool:
+def is_unital(s: SuperOp, tol: float = CHECK_TOL) -> bool:
     """Whether the map sends the identity to the identity within tol."""
     require_instance("s", s, SuperOp)
     require_tolerance("tol", tol)
@@ -206,7 +210,7 @@ def is_unital(s: SuperOp, tol: float = 1e-10) -> bool:
     return frobenius(apply(s, eye) - eye) <= tol
 
 
-def is_hermiticity_preserving(s: SuperOp, tol: float = 1e-10) -> bool:
+def is_hermiticity_preserving(s: SuperOp, tol: float = CHECK_TOL) -> bool:
     """Whether the map sends Hermitian inputs to Hermitian outputs.
 
     Checked on the n^2 standard Hermitian basis elements h, which suffices
@@ -231,17 +235,13 @@ def is_hermiticity_preserving(s: SuperOp, tol: float = 1e-10) -> bool:
     return bool(np.all(np.sqrt(size / np.where(i == j, 2.0, 1.0)) <= tol))
 
 
-def _rank1_images(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    # hermitian_part(unvec(mat @ vec(x x*))) for every row x of xs. The
-    # stacked matmul runs one gemv per row, as apply does, so each image
-    # equals its apply call bit for bit; a single gemm would not.
-    outers = xs[:, :, None] * xs.conj()[:, None, :]
-    return hermitian_part(unvec(np.matmul(mat, vec(outers)[..., None])[..., 0]))
-
-
 def _least_eigs(mat: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Least eigenvalue and eigenvector of _rank1_images(mat, xs), row by row.
-    w, v = np.linalg.eigh(_rank1_images(mat, xs))
+    # Least eigenvalue and eigenvector of hermitian_part(unvec(mat @ vec(x x*)))
+    # for every row x of xs. The stacked matmul runs one gemv per row, as
+    # apply does, so each image equals its apply call bit for bit; a single
+    # gemm would not.
+    outers = xs[:, :, None] * xs.conj()[:, None, :]
+    w, v = np.linalg.eigh(hermitian_part(unvec(np.matmul(mat, vec(outers)[..., None])[..., 0])))
     return w[:, 0], v[:, :, 0]
 
 
@@ -306,14 +306,14 @@ def positivity_certificate(s: SuperOp, restarts: int = 50, max_iters: int = 500,
     Raises BadParameterError for a bad count, tolerance or seed (restarts
     is at most MAX_DRAWS, 1000, since the restarts are rows of stacks), and
     NotHermiticityPreservingError unless the map preserves Hermiticity
-    within max(tol, 1e-10).
+    within max(tol, CHECK_TOL), where CHECK_TOL is 1e-10.
     """
     require_instance("s", s, SuperOp)
     require_count("restarts", restarts, 1, MAX_DRAWS)
     require_count("max_iters", max_iters, 0)
     require_tolerance("tol", tol)
     require_seed(seed)
-    if not is_hermiticity_preserving(s, max(tol, 1e-10)):
+    if not is_hermiticity_preserving(s, max(tol, CHECK_TOL)):
         raise NotHermiticityPreservingError(
             "positivity search requires a Hermiticity-preserving map")
     return _certify_positivity(s, restarts, max_iters, tol, seed)

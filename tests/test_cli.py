@@ -349,6 +349,21 @@ class TestInputErrors:
         assert code == 2
         assert "kraus" in err
 
+    @pytest.mark.parametrize("spec", [
+        {"family": "wigner", "n": 3, "params": {"varaint": "transpose"}},
+        {"family": "wigner", "n": 3, "sed": 7},
+        {"family": "wigner", "n": 3, "params": {"variant": "transpose", "epsilon": 0.1}},
+        {"family": 5, "n": 3}], ids=["misspelt_param", "misspelt_key", "unread_param",
+                                     "non_string_family"])
+    def test_unread_or_malformed_spec_exit_two(self, tmp_path, capsys, spec):
+        # Unchecked, the first three wrote the direct seed-0 map: the key
+        # meant to change it was ignored.
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "generate", "--spec", json.dumps(spec), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
 
 # Every family, and both variants of those that have one.
 GENERATED = [("wigner", {"variant": "direct"}), ("wigner", {"variant": "transpose"}),
@@ -537,13 +552,19 @@ json_values = st.recursive(
                                                                 max_size=3),
     max_leaves=4)
 numbers = st.floats() | st.integers(-3, 3) | st.sampled_from([10**400, -(10**400)])
-valid_specs = st.fixed_dictionaries({
-    "family": st.sampled_from(FAMILIES),
+# Each family with the parameters it reads, and no others.
+family_params = {
+    "wigner": {"variant": st.sampled_from(["direct", "transpose"])},
+    "depolarizing": {"lambda": st.floats(0, 1)},
+    "pseudo_depolarizing": {"mu": st.floats(0, 10)},
+    "perturbed_wigner": {"variant": st.sampled_from(["direct", "transpose"]),
+                         "epsilon": st.floats(-1, 1)},
+}
+valid_specs = st.sampled_from(FAMILIES).flatmap(lambda family: st.fixed_dictionaries({
+    "family": st.just(family),
     "n": st.integers(1, 6),
-    "params": st.fixed_dictionaries({
-        "variant": st.sampled_from(["direct", "transpose"]), "lambda": st.floats(0, 1),
-        "mu": st.floats(0, 10), "epsilon": st.floats(-1, 1)}),
-    "seed": st.integers(0, 2**70)})
+    "params": st.fixed_dictionaries(family_params[family]),
+    "seed": st.integers(0, 2**70)}))
 # One field of a valid spec at a time is replaced or dropped. Valid dimensions
 # stay at most 6; the ceiling cases are the only larger ones.
 spec_faults = {
@@ -571,9 +592,15 @@ class TestProperties:
     @settings(max_examples=40, deadline=None, database=None)
     @given(valid_specs, st.data())
     def test_generate_any_spec(self, tmp_path_factory, spec, data):
-        fault = data.draw(st.sampled_from([None, "drop", "param", *spec_faults]))
+        fault = data.draw(st.sampled_from([None, "drop", "param", "unread", *spec_faults]))
         if fault == "drop":
             del spec[data.draw(st.sampled_from(sorted(spec)))]
+        elif fault == "unread":
+            # A key the spec or the family does not read, with a valid value.
+            where = data.draw(st.sampled_from([spec, spec["params"]]))
+            unread = sorted({"family", "n", "params", "seed", "variant", "lambda", "mu",
+                             "epsilon", "sed"} - set(where))
+            where[data.draw(st.sampled_from(unread))] = 0.5
         elif fault == "param":
             spec["params"][data.draw(st.sampled_from(sorted(spec["params"])))] = data.draw(
                 numbers | json_values)
@@ -586,6 +613,8 @@ class TestProperties:
         assert out.exists() == (code == 0)
         if fault is None:
             assert code == 0
+        if fault == "unread":
+            assert code == 2
 
     @settings(max_examples=25, deadline=None, database=None)
     @given(st.integers(0, 2), st.integers(0, 50), st.data())
